@@ -54,26 +54,53 @@
 //!
 //! ## Crash safety and generations
 //!
-//! An update never writes into the live artifact. [`DeltaEngine::apply`]
-//! journals the batch to the sidecar first (the old header ignores the new
-//! tail), then forks the artifact file with an OS-level copy (an uncounted
-//! metadata-ish clone, like `sync`; reflink-capable filesystems make it
-//! cheap), patches the touched pages of the **copy** through the counted
-//! pager, writes the new header (generation + 1) last, syncs, and
-//! atomically renames over the path. A crash or injected I/O fault at any
-//! point leaves the previous generation fully readable at the path;
-//! concurrent [`SccIndexReader`](crate::index::SccIndexReader)s opened
-//! before the rename keep serving their generation from the old inode.
-//! The engine itself stays consistent too: all in-memory state is mutated
-//! on transaction-local copies that are only installed after the rename
-//! succeeds, so a failed `apply` can simply be retried.
+//! Every update commits a new **generation** `g + 1`, and there are two
+//! ways to commit one:
+//!
+//! * **Log append** — for a commit that merges no components (intra-
+//!   component and DAG-order-respecting inserts, cross-component removals,
+//!   dirty marks). The engine appends one checksummed record to the
+//!   `<artifact>.dlog` sidecar and fsyncs it once; the artifact file is not
+//!   touched. The record holds the batch's journal operations, the
+//!   after-images of the DAG and dirty pages the commit changed, and the
+//!   new header (format: [`crate::dlog`]). **The record's fsync is the
+//!   commit point.** Every open replays the log's valid prefix over the
+//!   artifact and validates the result against the last record's header,
+//!   so owned and shared handles see the same generation. A record cut
+//!   short by a crash (a *torn tail*) is ignored on replay, leaving the
+//!   previous generation; a bad record with complete records after it is
+//!   corruption and fails the open with `InvalidData`.
+//! * **Fold** — for merges, re-verification, [`DeltaEngine::compact`], and
+//!   any commit made once the log's commit records hold more bytes than
+//!   the artifact. The engine forks the artifact with an OS-level copy,
+//!   lays the log's page images over the fork (uncounted, like the copy: a
+//!   clone of the current generation outside the I/O model), patches the
+//!   touched pages of the **fork** through the counted pager, writes the
+//!   new header last, fsyncs, and atomically renames it over the path —
+//!   the commit point. It then writes a new log holding one checkpoint
+//!   record (the whole journal, no page images) under a temporary name and
+//!   renames it over the old log. A crash between the two renames leaves a
+//!   log that no longer chains to the artifact: readers ignore it, and the
+//!   next [`DeltaEngine::open`] moves the finished new log into place.
+//!   Label and size-table pages are only ever rewritten by a fold, so the
+//!   query path never consults the log.
+//!
+//! Concurrent [`SccIndexReader`](crate::index::SccIndexReader)s keep the
+//! generation they opened: a fold's rename leaves them on the old inode,
+//! and a log append is invisible to a reader that has already replayed.
+//! The engine itself stays consistent too: [`DeltaEngine::apply`] works on
+//! the live condensation DAG and dirty set under an undo log, rolled back
+//! on any error, and installs the new header, page images and journal only
+//! once the commit point has passed — so a failed `apply` leaves the same
+//! engine unchanged and can simply be retried.
 //!
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
-//! reads, a metadata-only update pays `O(1)` page writes, a merge pays a
-//! sequential label scan plus writes to only the affected pages, and the
-//! whole apply is wrapped in `delta_classify` / `delta_merge`
-//! (re-verification in `delta_compact`) spans for the tracing sinks.
+//! reads, a metadata-only update pays the page reads it patches plus one
+//! record write, a merge pays a sequential label scan plus writes to only
+//! the affected pages, and the whole apply is wrapped in `delta_classify`
+//! / `delta_merge` (re-verification in `delta_compact`) spans for the
+//! tracing sinks.
 //!
 //! The node universe is fixed at build time (`0..n_nodes`); deltas mutate
 //! edges, not nodes. The journal records node-level operations, so the
@@ -81,17 +108,18 @@
 //! instance of a multi-edge at a time.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use ce_extmem::file::CountedFile;
 use ce_extmem::{DiskEnv, IoSnapshot};
 
 use crate::csr::CsrGraph;
+use crate::dlog::{self, Overlay, KIND_CHECKPOINT, KIND_COMMIT};
 use crate::edgelist::EdgeListGraph;
 use crate::index::{
-    align_up, bad, journal_path, lookup_rep, lookup_size, page_hash, Fnv, Header, SccIndex,
-    DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
+    align_up, bad, journal_path, lookup_rep, lookup_size, page_hash, page_hashes, read_exact_at,
+    Fnv, Header, IndexIo, OverlayIo, SccIndex, DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
 };
 use crate::tarjan::tarjan_scc;
 use crate::types::{CountedEdge, Edge, NodeId};
@@ -191,11 +219,16 @@ pub struct CompactReport {
 /// applies — the semi-external stance of the workspace (node-proportional
 /// state in memory, edge files on disk) applied to the condensation, which
 /// is the *small* quotient of the graph.
-#[derive(Debug, Clone, Default)]
+///
+/// While a transaction is open every change records the multiplicity it
+/// replaced, so [`DagAdj::rollback`] restores the adjacency exactly (the
+/// neighbor sets are a function of the multiplicities).
+#[derive(Debug, Default)]
 pub(crate) struct DagAdj {
     counts: BTreeMap<(NodeId, NodeId), u32>,
     fwd: HashMap<NodeId, BTreeSet<NodeId>>,
     bwd: HashMap<NodeId, BTreeSet<NodeId>>,
+    undo: Option<Vec<((NodeId, NodeId), u32)>>,
 }
 
 impl DagAdj {
@@ -203,9 +236,17 @@ impl DagAdj {
         self.counts.get(&(s, d)).copied().unwrap_or(0)
     }
 
+    fn record(&mut self, s: NodeId, d: NodeId) {
+        let old = self.count(s, d);
+        if let Some(undo) = self.undo.as_mut() {
+            undo.push(((s, d), old));
+        }
+    }
+
     /// Adds `c` instances of `s → d` (saturating).
     fn add(&mut self, s: NodeId, d: NodeId, c: u32) {
         debug_assert_ne!(s, d, "condensation edges are never loops");
+        self.record(s, d);
         let e = self.counts.entry((s, d)).or_insert(0);
         *e = e.saturating_add(c);
         self.fwd.entry(s).or_default().insert(d);
@@ -214,6 +255,7 @@ impl DagAdj {
 
     /// Sets the multiplicity of `s → d`; zero removes the edge.
     fn set(&mut self, s: NodeId, d: NodeId, c: u32) {
+        self.record(s, d);
         if c == 0 {
             self.counts.remove(&(s, d));
             if let Some(n) = self.fwd.get_mut(&s) {
@@ -232,6 +274,22 @@ impl DagAdj {
             self.counts.insert((s, d), c);
             self.fwd.entry(s).or_default().insert(d);
             self.bwd.entry(d).or_default().insert(s);
+        }
+    }
+
+    fn begin(&mut self) {
+        debug_assert!(self.undo.is_none(), "transactions do not nest");
+        self.undo = Some(Vec::new());
+    }
+
+    fn commit(&mut self) {
+        self.undo = None;
+    }
+
+    /// Undoes every change since [`DagAdj::begin`], newest first.
+    fn rollback(&mut self) {
+        for ((s, d), c) in self.undo.take().unwrap_or_default().into_iter().rev() {
+            self.set(s, d, c);
         }
     }
 
@@ -346,15 +404,71 @@ impl DagAdj {
     }
 }
 
+/// The dirty components, with the same transaction discipline as
+/// [`DagAdj`]: `(rep, was present)` per change while a transaction is open.
+#[derive(Debug, Default)]
+struct DirtySet {
+    set: BTreeSet<NodeId>,
+    undo: Option<Vec<(NodeId, bool)>>,
+}
+
+impl DirtySet {
+    fn contains(&self, r: &NodeId) -> bool {
+        self.set.contains(r)
+    }
+
+    fn insert(&mut self, r: NodeId) -> bool {
+        let added = self.set.insert(r);
+        if let (true, Some(undo)) = (added, self.undo.as_mut()) {
+            undo.push((r, false));
+        }
+        added
+    }
+
+    fn remove(&mut self, r: &NodeId) -> bool {
+        let removed = self.set.remove(r);
+        if let (true, Some(undo)) = (removed, self.undo.as_mut()) {
+            undo.push((*r, true));
+        }
+        removed
+    }
+
+    fn begin(&mut self) {
+        debug_assert!(self.undo.is_none(), "transactions do not nest");
+        self.undo = Some(Vec::new());
+    }
+
+    fn commit(&mut self) {
+        self.undo = None;
+    }
+
+    fn rollback(&mut self) {
+        for (r, was) in self.undo.take().unwrap_or_default().into_iter().rev() {
+            if was {
+                self.set.insert(r);
+            } else {
+                self.set.remove(&r);
+            }
+        }
+    }
+
+    /// Did the open transaction change the set? (A change undone within
+    /// the same transaction still counts: the section is then rewritten
+    /// with the same bytes.)
+    fn changed(&self) -> bool {
+        self.undo.as_ref().is_some_and(|u| !u.is_empty())
+    }
+}
+
 /// Per-batch union-find over component representatives: merges decided
 /// earlier in a batch must be visible to the classification of later edges
 /// in the same batch, before anything is materialized.
 #[derive(Default)]
-struct Overlay {
+struct UnionFind {
     parent: HashMap<NodeId, NodeId>,
 }
 
-impl Overlay {
+impl UnionFind {
     fn find(&mut self, x: NodeId) -> NodeId {
         let mut root = x;
         while let Some(&p) = self.parent.get(&root) {
@@ -399,14 +513,15 @@ enum LabelPatch {
 }
 
 /// A fully classified, not-yet-written update: everything `materialize`
-/// needs, computed against transaction-local state so a failed apply
-/// leaves the engine untouched.
+/// needs besides the live DAG and dirty set, which already hold the new
+/// state under the open transaction.
 struct Plan {
-    journal: Vec<[u8; JOURNAL_ENTRY as usize]>,
+    /// Journal operations of the batch, `JOURNAL_ENTRY` bytes each.
+    journal: Vec<u8>,
     label_patch: LabelPatch,
     /// Full new size table (sorted by rep) when components changed.
     sizes: Option<Vec<(NodeId, u64)>>,
-    /// Rewrite the whole DAG section from the (transaction) `DagAdj`.
+    /// Rewrite the whole DAG section from the live `DagAdj`.
     rewrite_dag: bool,
     /// In-place record patches `(key, final count)` — only when not
     /// rewriting; `0` leaves a tombstone.
@@ -429,6 +544,22 @@ impl Plan {
             dirty_changed: false,
         }
     }
+
+    /// Can this plan commit as a log record? Only if it rewrites no label,
+    /// size or whole-DAG pages.
+    fn appendable(&self) -> bool {
+        matches!(self.label_patch, LabelPatch::None) && self.sizes.is_none() && !self.rewrite_dag
+    }
+}
+
+/// Generation `g + 1` as page images over generation `g`: every page whose
+/// bytes change (absolute offsets) and the new header.
+struct Staged {
+    hdr: Header,
+    pages: BTreeMap<u64, Vec<u8>>,
+    /// Label pages among `pages`.
+    label_pages: u64,
+    pos: DagPosUpdate,
 }
 
 fn journal_record(tag: u32, u: NodeId, v: NodeId) -> [u8; JOURNAL_ENTRY as usize] {
@@ -437,6 +568,26 @@ fn journal_record(tag: u32, u: NodeId, v: NodeId) -> [u8; JOURNAL_ENTRY as usize
     rec[4..8].copy_from_slice(&u.to_le_bytes());
     rec[8..12].copy_from_slice(&v.to_le_bytes());
     rec
+}
+
+/// Makes a create or rename in `path`'s directory durable.
+fn sync_dir(path: &Path) -> io::Result<()> {
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Forgets `path` in the pool, cuts the file to `len` bytes, and reopens
+/// it — dropping a torn or failed tail of the log so no reader replays it.
+fn cut_log(env: &DiskEnv, path: &Path, len: u64) -> io::Result<CountedFile> {
+    env.evict(path);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)?
+        .set_len(len)?;
+    CountedFile::open_rw(env, path)
 }
 
 /// The write handle over a stored [`SccIndex`]: classifies and applies
@@ -453,14 +604,26 @@ pub struct DeltaEngine<'a> {
     env: &'a DiskEnv,
     base: &'a EdgeListGraph,
     path: PathBuf,
+    /// The artifact as last folded; read-only between folds.
     file: CountedFile,
+    /// Its length in bytes.
+    base_len: u64,
+    /// The log's page images over it.
+    overlay: Overlay,
+    /// Header of the current generation.
     hdr: Header,
     dag: DagAdj,
     /// Record slot of every stored DAG record (tombstones included — a
     /// re-added edge reuses its tombstone's slot).
     dag_pos: HashMap<(NodeId, NodeId), u64>,
-    dirty: BTreeSet<NodeId>,
-    journal: CountedFile,
+    dirty: DirtySet,
+    /// The `<artifact>.dlog` sidecar, its valid length, and where its
+    /// commit records start (after the checkpoint, if any).
+    log: CountedFile,
+    log_end: u64,
+    log_commits_from: u64,
+    /// Every journal operation since the build, in order.
+    ops: Vec<u8>,
 }
 
 impl std::fmt::Debug for DeltaEngine<'_> {
@@ -469,25 +632,35 @@ impl std::fmt::Debug for DeltaEngine<'_> {
             .field("path", &self.path)
             .field("generation", &self.hdr.generation)
             .field("n_sccs", &self.hdr.n_sccs)
-            .field("n_dirty", &(self.dirty.len() as u64))
+            .field("n_dirty", &(self.dirty.set.len() as u64))
             .field("n_journal", &self.hdr.n_journal)
             .finish()
     }
 }
 
 impl<'a> DeltaEngine<'a> {
-    /// Opens the artifact at `path` for maintenance. Validates the artifact
-    /// (same protocol as [`SccIndex::open`]), requires the condensation DAG
-    /// section, requires `env`'s block size to equal the artifact's page
-    /// size, validates the journal sidecar against the header's
-    /// authenticated prefix, and loads the DAG adjacency and dirty set.
+    /// Opens the artifact at `path` for maintenance. First finishes a fold
+    /// that stopped between its two renames (see the module docs), then
+    /// validates the artifact and replays its log (same protocol as
+    /// [`SccIndex::open`]), requires the condensation DAG section, requires
+    /// `env`'s block size to equal the artifact's page size, requires the
+    /// log to hold exactly the journal the header authenticates, drops a
+    /// torn log tail, and loads the DAG adjacency and dirty set.
     pub fn open(
         env: &'a DiskEnv,
         base: &'a EdgeListGraph,
         path: &Path,
     ) -> io::Result<DeltaEngine<'a>> {
-        let idx = SccIndex::open(env, path)?;
-        if !idx.has_condensation() {
+        let jpath = journal_path(path);
+        if dlog::roll_forward(path)? {
+            sync_dir(&jpath)?;
+        }
+        // This engine is the log's only writer: forget whatever the pool
+        // remembers of it, so the handle below sees the file on disk.
+        env.evict(&jpath);
+        let (mut file, replay) = SccIndex::open_owned(env, path)?;
+        let hdr = replay.hdr;
+        if hdr.dag_off == 0 {
             return Err(bad(
                 "the index was built without the condensation DAG section, which the \
                  delta engine needs to classify updates; rebuild it with \
@@ -495,7 +668,6 @@ impl<'a> DeltaEngine<'a> {
                  (`SccSession::condensation(true)` from the API)",
             ));
         }
-        let (mut file, hdr) = idx.into_parts();
         let block = env.config().block_size as u64;
         if block != hdr.page_size {
             return Err(bad(&format!(
@@ -513,88 +685,83 @@ impl<'a> DeltaEngine<'a> {
                 hdr.n_nodes
             )));
         }
-
-        // DAG records (tombstones included: they own reusable slots).
-        let mut dag = DagAdj::default();
-        let mut dag_pos = HashMap::new();
-        let mut at = 0u64;
-        let mut chunk = vec![0u8; hdr.page_size as usize];
-        while at < hdr.n_dag_edges {
-            let take = (hdr.n_dag_edges - at).min(chunk.len() as u64 / DAG_ENTRY);
-            let bytes = (take * DAG_ENTRY) as usize;
-            if file.read_at(hdr.dag_off + at * DAG_ENTRY, &mut chunk[..bytes])? != bytes {
-                return Err(bad("dag section truncated"));
-            }
-            for i in 0..take as usize {
-                let raw = &chunk[i * DAG_ENTRY as usize..(i + 1) * DAG_ENTRY as usize];
-                let s = NodeId::from_le_bytes(raw[0..4].try_into().unwrap());
-                let d = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
-                let c = u32::from_le_bytes(raw[8..12].try_into().unwrap());
-                dag_pos.insert((s, d), at + i as u64);
-                if c > 0 {
-                    dag.add(s, d, c);
-                }
-            }
-            at += take;
-        }
-
-        // Dirty set.
-        let mut dirty = BTreeSet::new();
-        let mut at = 0u64;
-        while at < hdr.n_dirty {
-            let take = (hdr.n_dirty - at).min(chunk.len() as u64 / DIRTY_ENTRY);
-            let bytes = (take * DIRTY_ENTRY) as usize;
-            if file.read_at(hdr.dirty_off + at * DIRTY_ENTRY, &mut chunk[..bytes])? != bytes {
-                return Err(bad("dirty section truncated"));
-            }
-            for i in 0..take as usize {
-                dirty.insert(NodeId::from_le_bytes(
-                    chunk[i * 4..i * 4 + 4].try_into().unwrap(),
-                ));
-            }
-            at += take;
-        }
-
-        // Journal sidecar: open (create when this generation has no
-        // entries), then validate exactly the authenticated prefix.
-        let jpath = journal_path(path);
-        let exists = std::fs::metadata(&jpath).is_ok();
-        let mut journal = if exists {
-            CountedFile::open_rw(env, &jpath)?
-        } else if hdr.n_journal == 0 {
-            CountedFile::create_persistent(env, &jpath)?
-        } else {
+        if hdr.n_journal.checked_mul(JOURNAL_ENTRY) != Some(replay.ops.len() as u64) {
             return Err(bad(&format!(
-                "journal sidecar {} is missing but the header records {} entries",
+                "delta log {} holds {} journal entries but the index header records {}",
                 jpath.display(),
+                replay.ops.len() as u64 / JOURNAL_ENTRY,
                 hdr.n_journal
             )));
-        };
-        let mut fnv = Fnv::new();
-        let mut at = 0u64;
-        let end = hdr.n_journal * JOURNAL_ENTRY;
-        while at < end {
-            let take = ((end - at) as usize).min(chunk.len());
-            if journal.read_at(at, &mut chunk[..take])? != take {
-                return Err(bad("journal sidecar truncated below the header's prefix"));
+        }
+        let base_len = file.len_bytes()?;
+
+        let mut dag = DagAdj::default();
+        let mut dag_pos = HashMap::new();
+        let mut dirty = DirtySet::default();
+        {
+            let mut io = OverlayIo::new(&mut file, &replay.overlay, hdr.page_size);
+            // DAG records (tombstones included: they own reusable slots).
+            let mut chunk = vec![0u8; hdr.page_size as usize];
+            let mut at = 0u64;
+            while at < hdr.n_dag_edges {
+                let take = (hdr.n_dag_edges - at).min(chunk.len() as u64 / DAG_ENTRY);
+                let bytes = (take * DAG_ENTRY) as usize;
+                read_exact_at(
+                    &mut io,
+                    hdr.dag_off + at * DAG_ENTRY,
+                    &mut chunk[..bytes],
+                    "dag section",
+                )?;
+                for (i, raw) in chunk[..bytes].chunks_exact(DAG_ENTRY as usize).enumerate() {
+                    let s = NodeId::from_le_bytes(raw[0..4].try_into().unwrap());
+                    let d = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
+                    let c = u32::from_le_bytes(raw[8..12].try_into().unwrap());
+                    dag_pos.insert((s, d), at + i as u64);
+                    if c > 0 {
+                        dag.add(s, d, c);
+                    }
+                }
+                at += take;
             }
-            fnv.update(&chunk[..take]);
-            at += take as u64;
+            let bytes = (hdr.n_dirty * DIRTY_ENTRY) as usize;
+            let mut raw = vec![0u8; bytes];
+            read_exact_at(&mut io, hdr.dirty_off, &mut raw, "dirty section")?;
+            for r in raw.chunks_exact(DIRTY_ENTRY as usize) {
+                dirty.insert(NodeId::from_le_bytes(r.try_into().unwrap()));
+            }
         }
-        if fnv.finish() != hdr.journal_fnv {
-            return Err(bad("journal sidecar does not match the index header"));
-        }
+
+        // The log: a fresh one when there is none or it belongs to an
+        // earlier artifact; otherwise cut any torn tail before appending.
+        let log = if replay.stale || !jpath.exists() {
+            let log = CountedFile::create_persistent(env, &jpath)?;
+            sync_dir(&jpath)?;
+            log
+        } else {
+            let log = CountedFile::open_rw(env, &jpath)?;
+            if log.len_bytes()? != replay.end {
+                drop(log);
+                cut_log(env, &jpath, replay.end)?
+            } else {
+                log
+            }
+        };
 
         Ok(DeltaEngine {
             env,
             base,
             path: path.to_path_buf(),
             file,
+            base_len,
+            overlay: replay.overlay,
             hdr,
             dag,
             dag_pos,
             dirty,
-            journal,
+            log,
+            log_end: replay.end,
+            log_commits_from: replay.checkpoint_end,
+            ops: replay.ops,
         })
     }
 
@@ -616,12 +783,12 @@ impl<'a> DeltaEngine<'a> {
 
     /// Components currently marked dirty.
     pub fn n_dirty(&self) -> u64 {
-        self.dirty.len() as u64
+        self.dirty.set.len() as u64
     }
 
     /// Representatives of the dirty components, ascending.
     pub fn dirty_components(&self) -> Vec<NodeId> {
-        self.dirty.iter().copied().collect()
+        self.dirty.set.iter().copied().collect()
     }
 
     /// Journal entries accumulated since the build.
@@ -634,10 +801,27 @@ impl<'a> DeltaEngine<'a> {
         self.dag.live_sorted()
     }
 
+    /// Runs `f` as one transaction over the live DAG and dirty set: on
+    /// error every change `f` made to them is undone.
+    fn transact<T>(&mut self, f: impl FnOnce(&mut Self) -> io::Result<T>) -> io::Result<T> {
+        self.dag.begin();
+        self.dirty.begin();
+        let out = f(self);
+        if out.is_ok() {
+            self.dag.commit();
+            self.dirty.commit();
+        } else {
+            self.dag.rollback();
+            self.dirty.rollback();
+        }
+        out
+    }
+
     /// Applies one batch: classifies every operation against the current
-    /// index (span `delta_classify`), then journals and materializes a new
-    /// generation (span `delta_merge`). On error nothing is changed — the
-    /// engine and the artifact both stay at the current generation, and the
+    /// index (span `delta_classify`), then commits a new generation (span
+    /// `delta_merge`) — as one log record when nothing merged, by a fold
+    /// otherwise (see the module docs). On error nothing is changed — the
+    /// engine and the index both stay at the current generation, and the
     /// apply can be retried.
     pub fn apply(&mut self, batch: &DeltaBatch) -> io::Result<DeltaReport> {
         let before = self.env.stats().snapshot();
@@ -656,17 +840,21 @@ impl<'a> DeltaEngine<'a> {
                 )));
             }
         }
+        let mut report = self.transact(|e| e.apply_txn(batch))?;
+        report.generation = self.hdr.generation;
+        report.ios = self.env.stats().snapshot().since(&before);
+        Ok(report)
+    }
 
-        // ---- Classification: transaction-local state only. ----
+    fn apply_txn(&mut self, batch: &DeltaBatch) -> io::Result<DeltaReport> {
+        // ---- Classification, on the live state. ----
         let sp = ce_extmem::io_span!(
             self.env,
             "delta_classify",
             adds = batch.edges_added.len(),
             removes = batch.edges_removed.len(),
         );
-        let mut dag = self.dag.clone();
-        let mut dirty = self.dirty.clone();
-        let mut overlay = Overlay::default();
+        let mut uf = UnionFind::default();
         let mut plan = Plan::new();
         let mut report = DeltaReport::default();
         let mut merged_groups: Vec<Vec<NodeId>> = Vec::new();
@@ -677,21 +865,21 @@ impl<'a> DeltaEngine<'a> {
         let mut new_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
 
         for &(u, v) in &batch.edges_added {
-            let ru = overlay.find(lookup_rep(&mut self.file, &self.hdr, u)?);
-            let rv = overlay.find(lookup_rep(&mut self.file, &self.hdr, v)?);
-            plan.journal.push(journal_record(0, u, v));
+            let ru = uf.find(lookup_rep(&mut self.file, &self.hdr, u)?);
+            let rv = uf.find(lookup_rep(&mut self.file, &self.hdr, v)?);
+            plan.journal.extend_from_slice(&journal_record(0, u, v));
             if ru == rv {
                 report.intra_added += 1;
                 continue;
             }
             let key = (ru, rv);
-            if dag.count(ru, rv) > 0 {
-                dag.add(ru, rv, 1);
+            if self.dag.count(ru, rv) > 0 {
+                self.dag.add(ru, rv, 1);
                 report.dag_reinforced += 1;
-            } else if dag.reaches(rv, ru) {
+            } else if self.dag.reaches(rv, ru) {
                 // Cycle: merge every component on some rv ⇝ ru path.
-                let cone = dag.backward_cone(ru);
-                let affected = dag.forward_within(rv, &cone);
+                let cone = self.dag.backward_cone(ru);
+                let affected = self.dag.forward_within(rv, &cone);
                 let mut ids: Vec<NodeId> = affected.iter().copied().collect();
                 ids.sort_unstable();
                 let pos: HashMap<NodeId, u32> = ids
@@ -701,7 +889,7 @@ impl<'a> DeltaEngine<'a> {
                     .collect();
                 let mut edges: Vec<Edge> = Vec::new();
                 for &a in &ids {
-                    if let Some(nbrs) = dag.fwd.get(&a) {
+                    if let Some(nbrs) = self.dag.fwd.get(&a) {
                         for &b in nbrs {
                             if affected.contains(&b) {
                                 edges.push(Edge::new(pos[&a], pos[&b]));
@@ -723,18 +911,18 @@ impl<'a> DeltaEngine<'a> {
                     // id of its component, so the merged component's
                     // canonical rep is the minimum of the merged reps.
                     let l = *members.iter().min().unwrap();
-                    let was_dirty = members.iter().any(|m| dirty.contains(m));
+                    let was_dirty = members.iter().any(|m| self.dirty.contains(m));
                     let set: HashSet<NodeId> = members.iter().copied().collect();
                     for &m in &members {
-                        overlay.merge_into(m, l);
-                        dirty.remove(&m);
+                        uf.merge_into(m, l);
+                        self.dirty.remove(&m);
                     }
                     if was_dirty {
                         // A coarse constituent keeps the merged component
                         // conservative: it stays dirty.
-                        dirty.insert(l);
+                        self.dirty.insert(l);
                     }
-                    dag.remap(&set, l);
+                    self.dag.remap(&set, l);
                     report.merges += 1;
                     report.merged_components += members.len() as u64;
                     merged_groups.push(members);
@@ -742,7 +930,7 @@ impl<'a> DeltaEngine<'a> {
                 continue; // the new edge became intra-component
             } else {
                 // No rv ⇝ ru path: the insert respects the DAG order.
-                dag.add(ru, rv, 1);
+                self.dag.add(ru, rv, 1);
                 report.dag_appended += 1;
             }
             if self.dag_pos.contains_key(&key) {
@@ -753,17 +941,17 @@ impl<'a> DeltaEngine<'a> {
         }
 
         for &(u, v) in &batch.edges_removed {
-            let ru = overlay.find(lookup_rep(&mut self.file, &self.hdr, u)?);
-            let rv = overlay.find(lookup_rep(&mut self.file, &self.hdr, v)?);
-            plan.journal.push(journal_record(1, u, v));
+            let ru = uf.find(lookup_rep(&mut self.file, &self.hdr, u)?);
+            let rv = uf.find(lookup_rep(&mut self.file, &self.hdr, v)?);
+            plan.journal.extend_from_slice(&journal_record(1, u, v));
             if ru == rv {
                 // Intra-component: possibly splits — defer to lazy
                 // re-verification. Self-loop deletions can never split.
-                if u != v && dirty.insert(ru) {
+                if u != v && self.dirty.insert(ru) {
                     report.dirty_marked += 1;
                 }
             } else {
-                let c = dag.count(ru, rv);
+                let c = self.dag.count(ru, rv);
                 if c == 0 {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -773,7 +961,7 @@ impl<'a> DeltaEngine<'a> {
                         ),
                     ));
                 }
-                dag.set(ru, rv, c - 1);
+                self.dag.set(ru, rv, c - 1);
                 if c == 1 {
                     report.dag_dropped += 1;
                 } else {
@@ -790,13 +978,16 @@ impl<'a> DeltaEngine<'a> {
         drop(sp);
 
         // ---- Turn classification into a write plan. ----
-        plan.dirty_changed = dirty != self.dirty;
+        plan.dirty_changed = self.dirty.changed();
         if merged_groups.is_empty() {
-            plan.patches = touched.iter().map(|&k| (k, dag.count(k.0, k.1))).collect();
+            plan.patches = touched
+                .iter()
+                .map(|&k| (k, self.dag.count(k.0, k.1)))
+                .collect();
             plan.appends = new_keys
                 .iter()
                 .filter_map(|&(s, d)| {
-                    let c = dag.count(s, d);
+                    let c = self.dag.count(s, d);
                     (c > 0).then_some(CountedEdge::new(s, d, c))
                 })
                 .collect();
@@ -805,7 +996,7 @@ impl<'a> DeltaEngine<'a> {
             // therefore the sections behind it; the plan folds the current
             // table through the final merge mapping.
             plan.rewrite_dag = true;
-            let relabel = overlay.relabel_map();
+            let relabel = uf.relabel_map();
             let table = self.read_size_table()?;
             let by_rep: HashMap<NodeId, u64> = table.iter().copied().collect();
             for group in &merged_groups {
@@ -821,17 +1012,15 @@ impl<'a> DeltaEngine<'a> {
             plan.label_patch = LabelPatch::ByRep(relabel);
         }
 
-        // ---- Materialize the new generation. ----
+        // ---- Commit the new generation. ----
         let sp = ce_extmem::io_span!(
             self.env,
             "delta_merge",
             merges = report.merges,
-            journal = plan.journal.len(),
+            journal = plan.journal.len() / JOURNAL_ENTRY as usize,
         );
-        report.label_pages_rewritten = self.materialize(plan, dag, dirty)?;
+        report.label_pages_rewritten = self.materialize(plan)?;
         drop(sp);
-        report.generation = self.hdr.generation;
-        report.ios = self.env.stats().snapshot().since(&before);
         Ok(report)
     }
 
@@ -867,7 +1056,7 @@ impl<'a> DeltaEngine<'a> {
     /// Idempotent; a clean, tombstone-free index is a no-op at zero writes.
     pub fn compact(&mut self) -> io::Result<CompactReport> {
         let before = self.env.stats().snapshot();
-        let dirty: Vec<NodeId> = self.dirty.iter().copied().collect();
+        let dirty = self.dirty_components();
         let tombstones = self.dag_pos.len() as u64 - self.dag.counts.len() as u64;
         let mut report = self.reverify(&dirty)?;
         if !dirty.is_empty() {
@@ -887,7 +1076,7 @@ impl<'a> DeltaEngine<'a> {
             rewrite_dag: true,
             ..Plan::new()
         };
-        self.materialize(plan, self.dag.clone(), self.dirty.clone())?;
+        self.transact(|e| e.materialize(plan))?;
         drop(sp);
         report.generation = self.hdr.generation;
         report.dag_slots_reclaimed = tombstones;
@@ -921,7 +1110,14 @@ impl<'a> DeltaEngine<'a> {
             });
         }
         let sp = ce_extmem::io_span!(self.env, "delta_compact", components = targets.len());
+        let mut report = self.transact(|e| e.reverify_txn(&targets))?;
+        drop(sp);
+        report.generation = self.hdr.generation;
+        report.ios = self.env.stats().snapshot().since(&before);
+        Ok(report)
+    }
 
+    fn reverify_txn(&mut self, targets: &BTreeSet<NodeId>) -> io::Result<CompactReport> {
         // Members of the target components, with their stored labels.
         let mut members: Vec<NodeId> = Vec::new();
         let mut old_label: HashMap<NodeId, NodeId> = HashMap::new();
@@ -946,32 +1142,18 @@ impl<'a> DeltaEngine<'a> {
                 }
             }
         }
-        {
-            let mut chunk = vec![0u8; self.hdr.page_size as usize];
-            let end = self.hdr.n_journal * JOURNAL_ENTRY;
-            let mut at = 0u64;
-            let mut rec = Vec::new();
-            while at < end {
-                let take = ((end - at) as usize).min(chunk.len());
-                if self.journal.read_at(at, &mut chunk[..take])? != take {
-                    return Err(bad("journal sidecar truncated below the header's prefix"));
-                }
-                rec.extend_from_slice(&chunk[..take]);
-                at += take as u64;
+        for raw in self.ops.chunks_exact(JOURNAL_ENTRY as usize) {
+            let tag = u32::from_le_bytes(raw[0..4].try_into().unwrap());
+            let u = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
+            let v = NodeId::from_le_bytes(raw[8..12].try_into().unwrap());
+            if !(member_set.contains(&u) || member_set.contains(&v)) {
+                continue;
             }
-            for raw in rec.chunks_exact(JOURNAL_ENTRY as usize) {
-                let tag = u32::from_le_bytes(raw[0..4].try_into().unwrap());
-                let u = NodeId::from_le_bytes(raw[4..8].try_into().unwrap());
-                let v = NodeId::from_le_bytes(raw[8..12].try_into().unwrap());
-                if !(member_set.contains(&u) || member_set.contains(&v)) {
-                    continue;
-                }
-                let e = incident.entry((u, v)).or_insert(0);
-                if tag == 0 {
-                    *e += 1;
-                } else if *e > 0 {
-                    *e -= 1;
-                }
+            let e = incident.entry((u, v)).or_insert(0);
+            if tag == 0 {
+                *e += 1;
+            } else if *e > 0 {
+                *e -= 1;
             }
         }
 
@@ -1015,47 +1197,31 @@ impl<'a> DeltaEngine<'a> {
 
         // New DAG: drop everything touching the targets, recompute from the
         // incident multiset (memoizing outside components' labels).
-        let mut dag = self.dag.clone();
-        dag.drop_touching(&targets);
+        self.dag.drop_touching(targets);
         let mut outside: HashMap<NodeId, NodeId> = HashMap::new();
         let mut acc: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
         for (&(a, b), &c) in &incident {
             if c == 0 {
                 continue;
             }
-            let la = match new_label.get(&a) {
-                Some(&l) => l,
-                None => match outside.get(&a) {
-                    Some(&l) => l,
-                    None => {
-                        let l = lookup_rep(&mut self.file, &self.hdr, a)?;
-                        outside.insert(a, l);
-                        l
-                    }
-                },
+            let mut label = |x: NodeId| -> io::Result<NodeId> {
+                if let Some(&l) = new_label.get(&x).or_else(|| outside.get(&x)) {
+                    return Ok(l);
+                }
+                let l = lookup_rep(&mut self.file, &self.hdr, x)?;
+                outside.insert(x, l);
+                Ok(l)
             };
-            let lb = match new_label.get(&b) {
-                Some(&l) => l,
-                None => match outside.get(&b) {
-                    Some(&l) => l,
-                    None => {
-                        let l = lookup_rep(&mut self.file, &self.hdr, b)?;
-                        outside.insert(b, l);
-                        l
-                    }
-                },
-            };
+            let (la, lb) = (label(a)?, label(b)?);
             if la != lb {
                 *acc.entry((la, lb)).or_insert(0) += c;
             }
         }
         for ((s, d), c) in acc {
-            dag.add(s, d, c.min(u32::MAX as u64) as u32);
+            self.dag.add(s, d, c.min(u32::MAX as u64) as u32);
         }
-
-        let mut dirty = self.dirty.clone();
-        for r in &targets {
-            dirty.remove(r);
+        for r in targets {
+            self.dirty.remove(r);
         }
 
         let changed: HashMap<NodeId, NodeId> = new_label
@@ -1063,7 +1229,7 @@ impl<'a> DeltaEngine<'a> {
             .filter(|(n, l)| old_label.get(n) != Some(l))
             .map(|(&n, &l)| (n, l))
             .collect();
-        let mut report = CompactReport {
+        let report = CompactReport {
             generation: 0,
             components_reverified: targets.len() as u64,
             components_after: groups.len() as u64,
@@ -1072,18 +1238,13 @@ impl<'a> DeltaEngine<'a> {
             ios: IoSnapshot::default(),
         };
         let plan = Plan {
-            journal: Vec::new(),
             label_patch: LabelPatch::ByNode(changed),
             sizes: Some(table),
             rewrite_dag: true,
-            patches: Vec::new(),
-            appends: Vec::new(),
             dirty_changed: true,
+            ..Plan::new()
         };
-        self.materialize(plan, dag, dirty)?;
-        drop(sp);
-        report.generation = self.hdr.generation;
-        report.ios = self.env.stats().snapshot().since(&before);
+        self.materialize(plan)?;
         Ok(report)
     }
 
@@ -1138,114 +1299,37 @@ impl<'a> DeltaEngine<'a> {
         Ok(out)
     }
 
-    /// Commits a plan as generation `g + 1`: journal first (synced; the old
-    /// header ignores the tail), then fork-copy the artifact, patch the
-    /// copy through the counted pager, write the bumped header, sync, and
-    /// atomically rename over the path. Only after the rename succeeds is
-    /// the transaction state installed in the engine. Returns the number of
-    /// label pages rewritten.
-    fn materialize(
-        &mut self,
-        plan: Plan,
-        dag: DagAdj,
-        dirty: BTreeSet<NodeId>,
-    ) -> io::Result<u64> {
-        let hdr = self.hdr;
-
-        // 1. Journal append. Bytes past the authenticated prefix are
-        // ignored by every reader of the *current* header, so a fault
-        // after this point is invisible.
-        let mut jfnv = Fnv::from_state(hdr.journal_fnv);
-        if !plan.journal.is_empty() {
-            let mut bytes = Vec::with_capacity(plan.journal.len() * JOURNAL_ENTRY as usize);
-            for rec in &plan.journal {
-                bytes.extend_from_slice(rec);
-            }
-            self.journal
-                .write_at(hdr.n_journal * JOURNAL_ENTRY, &bytes)?;
-            self.journal.sync()?;
-            jfnv.update(&bytes);
-        }
-        let n_journal = hdr.n_journal + plan.journal.len() as u64;
-
-        // 2. Fork the artifact. Flush the pool first so the OS-level copy
-        // sees every byte of the current generation (not counted: barriers
-        // are free in the I/O model, and the copy itself is a metadata-ish
-        // clone outside it).
-        self.file.sync()?;
-        let tmp = self.path.with_file_name(format!(
-            "{}.g{}.tmp",
-            self.path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-            hdr.generation + 1
-        ));
-        std::fs::copy(&self.path, &tmp)?;
-
-        let out = self.patch_fork(&tmp, plan, &dag, &dirty, n_journal, jfnv.finish());
-        match out {
-            Ok((new_hdr, file, pages, pos_update)) => {
-                if let Err(e) = std::fs::rename(&tmp, &self.path) {
-                    drop(file);
-                    self.env.evict(&tmp);
-                    let _ = std::fs::remove_file(&tmp);
-                    return Err(e);
-                }
-                // Commit point passed. The pager interns files by path, so
-                // both names now alias stale state: the artifact path still
-                // maps to the pre-swap inode, and the tmp name maps to the
-                // renamed one. Evict both (the fork handle synced its
-                // frames) and reopen the artifact under its real name.
-                drop(file);
-                self.env.evict(&self.path);
-                self.env.evict(&tmp);
-                self.file = CountedFile::open_rw(self.env, &self.path)?;
-                self.hdr = new_hdr;
-                self.dirty = dirty;
-                self.dag = dag;
-                match pos_update {
-                    DagPosUpdate::Keep => {}
-                    DagPosUpdate::Replace(pos) => self.dag_pos = pos,
-                    DagPosUpdate::Append(slots) => self.dag_pos.extend(slots),
-                }
-                Ok(pages)
-            }
-            Err(e) => {
-                self.env.evict(&tmp);
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
+    /// Commits a plan as generation `g + 1` — as one log record when the
+    /// plan rewrites no label, size or whole-DAG pages and the log's commit
+    /// records do not yet outweigh the artifact, by a fold otherwise.
+    /// Returns the number of label pages rewritten.
+    fn materialize(&mut self, plan: Plan) -> io::Result<u64> {
+        let staged = self.stage(&plan)?;
+        if plan.appendable() && self.log_end - self.log_commits_from <= self.base_len {
+            self.append(&plan.journal, staged)
+        } else {
+            self.fold(&plan.journal, staged)
         }
     }
 
-    /// Patches the forked copy at `tmp` into generation `g + 1` and returns
-    /// the new header, the open handle, the label-page write count, and the
-    /// `dag_pos` change to install at commit.
-    fn patch_fork(
-        &mut self,
-        tmp: &Path,
-        plan: Plan,
-        dag: &DagAdj,
-        dirty: &BTreeSet<NodeId>,
-        n_journal: u64,
-        journal_fnv: u64,
-    ) -> io::Result<(Header, CountedFile, u64, DagPosUpdate)> {
+    /// Computes generation `g + 1` as page images over the current
+    /// generation (the artifact with the log's images laid over it),
+    /// reading through the counted pager.
+    fn stage(&mut self, plan: &Plan) -> io::Result<Staged> {
         let hdr = self.hdr;
         let page = hdr.page_size;
-        let mut f = CountedFile::open_rw(self.env, tmp)?;
+        let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut io = OverlayIo::new(&mut self.file, &self.overlay, page);
 
-        // Labels: sequential scan, write only pages whose bytes change.
+        // Labels: sequential scan, stage only pages whose bytes change.
         let mut labels_xor = hdr.labels_xor;
-        let mut pages_rewritten = 0u64;
+        let mut label_pages = 0u64;
         if !matches!(plan.label_patch, LabelPatch::None) {
             let per = page / 4;
             let mut buf = vec![0u8; page as usize];
             for p in 0..hdr.label_pages() {
                 let off = hdr.labels_off + p * page;
-                if f.read_at(off, &mut buf)? != buf.len() {
-                    return Err(bad("labels section truncated"));
-                }
+                read_exact_at(&mut io, off, &mut buf, "labels section")?;
                 let mut newbuf = buf.clone();
                 let mut changed = false;
                 for slot in 0..per {
@@ -1268,9 +1352,9 @@ impl<'a> DeltaEngine<'a> {
                     }
                 }
                 if changed {
-                    f.write_at(off, &newbuf)?;
                     labels_xor ^= page_hash(p, &buf) ^ page_hash(p, &newbuf);
-                    pages_rewritten += 1;
+                    pages.insert(off, newbuf);
+                    label_pages += 1;
                 }
             }
         }
@@ -1287,7 +1371,7 @@ impl<'a> DeltaEngine<'a> {
                     fnv.update(&rec);
                     out.extend_from_slice(&rec);
                 }
-                write_padded(&mut f, hdr.sizes_off, page, &out, None)?;
+                stage_padded(&mut pages, hdr.sizes_off, page, &out, None);
                 (entries.len() as u64, fnv.finish())
             }
             None => (hdr.n_sccs, hdr.sizes_fnv),
@@ -1299,20 +1383,16 @@ impl<'a> DeltaEngine<'a> {
         } else {
             hdr.dag_off
         };
-        let (n_dag, dag_xor, pos_update) = if plan.rewrite_dag {
-            let recs = dag.live_sorted();
+        let (n_dag, dag_xor, pos) = if plan.rewrite_dag {
+            let recs = self.dag.live_sorted();
             let mut out: Vec<u8> = Vec::with_capacity(recs.len() * DAG_ENTRY as usize);
             let mut pos = HashMap::with_capacity(recs.len());
             for (i, e) in recs.iter().enumerate() {
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&e.src.to_le_bytes());
-                rec[4..8].copy_from_slice(&e.dst.to_le_bytes());
-                rec[8..12].copy_from_slice(&e.count.to_le_bytes());
-                out.extend_from_slice(&rec);
+                out.extend_from_slice(&dag_record(e.src, e.dst, e.count));
                 pos.insert((e.src, e.dst), i as u64);
             }
             let mut xor = 0u64;
-            write_padded(&mut f, dag_off, page, &out, Some(&mut xor))?;
+            stage_padded(&mut pages, dag_off, page, &out, Some(&mut xor));
             (recs.len() as u64, xor, DagPosUpdate::Replace(pos))
         } else if plan.patches.is_empty() && plan.appends.is_empty() {
             (hdr.n_dag_edges, hdr.dag_xor, DagPosUpdate::Keep)
@@ -1322,26 +1402,24 @@ impl<'a> DeltaEngine<'a> {
             let mut writes: Vec<(u64, [u8; DAG_ENTRY as usize])> = Vec::new();
             for &((s, d), c) in &plan.patches {
                 let slot = *self.dag_pos.get(&(s, d)).expect("patched key has a slot");
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&s.to_le_bytes());
-                rec[4..8].copy_from_slice(&d.to_le_bytes());
-                rec[8..12].copy_from_slice(&c.to_le_bytes());
-                writes.push((slot * DAG_ENTRY, rec));
+                writes.push((slot * DAG_ENTRY, dag_record(s, d, c)));
             }
             let mut appended_pos: Vec<((NodeId, NodeId), u64)> = Vec::new();
             for (i, e) in plan.appends.iter().enumerate() {
                 let slot = hdr.n_dag_edges + i as u64;
-                let mut rec = [0u8; DAG_ENTRY as usize];
-                rec[0..4].copy_from_slice(&e.src.to_le_bytes());
-                rec[4..8].copy_from_slice(&e.dst.to_le_bytes());
-                rec[8..12].copy_from_slice(&e.count.to_le_bytes());
-                writes.push((slot * DAG_ENTRY, rec));
+                writes.push((slot * DAG_ENTRY, dag_record(e.src, e.dst, e.count)));
                 appended_pos.push(((e.src, e.dst), slot));
             }
-            let old_pages =
-                (align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page) - hdr.dag_off) / page;
             let mut xor = hdr.dag_xor;
-            patch_pages(&mut f, dag_off, page, old_pages, &mut xor, &writes)?;
+            patch_pages(
+                &mut io,
+                &mut pages,
+                dag_off,
+                page,
+                hdr.dag_pages(),
+                &mut xor,
+                &writes,
+            )?;
             (
                 hdr.n_dag_edges + plan.appends.len() as u64,
                 xor,
@@ -1354,23 +1432,19 @@ impl<'a> DeltaEngine<'a> {
         let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag, page);
         let (n_dirty, dirty_fnv) = if plan.dirty_changed || dirty_off != hdr.dirty_off {
             let mut fnv = Fnv::new();
-            let mut out: Vec<u8> = Vec::with_capacity(dirty.len() * DIRTY_ENTRY as usize);
-            for &r in dirty {
+            let mut out: Vec<u8> = Vec::with_capacity(self.dirty.set.len() * DIRTY_ENTRY as usize);
+            for &r in &self.dirty.set {
                 fnv.update(&r.to_le_bytes());
                 out.extend_from_slice(&r.to_le_bytes());
             }
-            write_padded(&mut f, dirty_off, page, &out, None)?;
-            (dirty.len() as u64, fnv.finish())
+            stage_padded(&mut pages, dirty_off, page, &out, None);
+            (self.dirty.set.len() as u64, fnv.finish())
         } else {
             (hdr.n_dirty, hdr.dirty_fnv)
         };
 
-        let new_hdr = Header {
-            page_size: page,
-            n_nodes: hdr.n_nodes,
+        let hdr = Header {
             n_sccs,
-            labels_off: hdr.labels_off,
-            sizes_off: hdr.sizes_off,
             dag_off,
             n_dag_edges: n_dag,
             labels_xor,
@@ -1380,21 +1454,155 @@ impl<'a> DeltaEngine<'a> {
             n_dirty,
             dirty_fnv,
             generation: hdr.generation + 1,
-            n_journal,
-            journal_fnv,
+            n_journal: hdr.n_journal + plan.journal.len() as u64 / JOURNAL_ENTRY,
+            journal_fnv: {
+                let mut fnv = Fnv::from_state(hdr.journal_fnv);
+                fnv.update(&plan.journal);
+                fnv.finish()
+            },
+            ..hdr
         };
-        f.write_at(0, &new_hdr.encode())?;
+        Ok(Staged {
+            hdr,
+            pages,
+            label_pages,
+            pos,
+        })
+    }
+
+    /// Installs a committed generation's DAG slot changes.
+    fn install_pos(&mut self, pos: DagPosUpdate) {
+        match pos {
+            DagPosUpdate::Keep => {}
+            DagPosUpdate::Replace(pos) => self.dag_pos = pos,
+            DagPosUpdate::Append(slots) => self.dag_pos.extend(slots),
+        }
+    }
+
+    /// Commits `staged` as one log record: a single write at the end of the
+    /// valid prefix and a single fsync, the commit point. A failed write or
+    /// sync cuts the log back so no reader replays the record.
+    fn append(&mut self, ops: &[u8], staged: Staged) -> io::Result<u64> {
+        let images: Vec<(u64, &[u8])> = staged.pages.iter().map(|(&o, b)| (o, &b[..])).collect();
+        debug_assert!(images.iter().all(|&(o, _)| o >= self.hdr.dag_off));
+        let rec = dlog::encode(
+            KIND_COMMIT,
+            self.hdr.tag(),
+            ops,
+            &images,
+            &staged.hdr,
+            self.hdr.page_size,
+        );
+        let written = self
+            .log
+            .write_at(self.log_end, &rec)
+            .and_then(|()| self.log.sync());
+        if let Err(e) = written {
+            self.log = cut_log(self.env, &journal_path(&self.path), self.log_end)?;
+            return Err(e);
+        }
+        self.log_end += rec.len() as u64;
+        for (off, img) in &staged.pages {
+            self.overlay.insert(*off, img);
+        }
+        self.ops.extend_from_slice(ops);
+        self.hdr = staged.hdr;
+        self.install_pos(staged.pos);
+        Ok(staged.label_pages)
+    }
+
+    /// Commits `staged` by a fold (see the module docs): fork, patch,
+    /// fsync, rename — the commit point — then put a new log holding one
+    /// checkpoint record in place of the old one.
+    fn fold(&mut self, ops: &[u8], staged: Staged) -> io::Result<u64> {
+        let tmp = self.path.with_file_name(format!(
+            "{}.g{}.tmp",
+            self.path
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_default(),
+            staged.hdr.generation
+        ));
+        let log_tmp = dlog::fold_tmp_path(&self.path);
+        let jpath = journal_path(&self.path);
+        let mut journal = Vec::with_capacity(self.ops.len() + ops.len());
+        journal.extend_from_slice(&self.ops);
+        journal.extend_from_slice(ops);
+        let forked = self
+            .write_fork(&tmp, &staged)
+            .and_then(|()| {
+                let rec = dlog::encode(
+                    KIND_CHECKPOINT,
+                    staged.hdr.tag(),
+                    &journal,
+                    &[],
+                    &staged.hdr,
+                    self.hdr.page_size,
+                );
+                let mut f = std::fs::File::create(&log_tmp)?;
+                f.write_all(&rec)?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &self.path));
+        if let Err(e) = forked {
+            self.env.evict(&tmp);
+            let _ = std::fs::remove_file(&tmp);
+            let _ = std::fs::remove_file(&log_tmp);
+            return Err(e);
+        }
+        // Commit point passed. The pager interns files by path, so both
+        // names now alias stale state: the artifact path still maps to the
+        // pre-swap inode, and the tmp name maps to the renamed one. Evict
+        // both (the fork handle synced its frames) and the log, and reopen
+        // under the real names.
+        for p in [&self.path, &tmp, &jpath] {
+            self.env.evict(p);
+        }
+        self.file = CountedFile::open_read(self.env, &self.path)?;
+        self.base_len = staged.hdr.file_len();
+        self.overlay = Overlay::default();
+        self.ops = journal;
+        self.hdr = staged.hdr;
+        self.install_pos(staged.pos);
+        // The generation is committed; if this rename fails, the next open
+        // rolls the fold forward.
+        std::fs::rename(&log_tmp, &jpath)?;
+        sync_dir(&jpath)?;
+        self.log = CountedFile::open_rw(self.env, &jpath)?;
+        self.log_end = self.log.len_bytes()?;
+        self.log_commits_from = self.log_end;
+        Ok(staged.label_pages)
+    }
+
+    /// Writes the fork at `tmp`: an OS-level copy of the artifact with the
+    /// log's images laid over it (the current generation, cloned outside
+    /// the I/O model), then the staged pages and the new header through the
+    /// counted pager, fsynced and cut to the new length.
+    fn write_fork(&mut self, tmp: &Path, staged: &Staged) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        std::fs::copy(&self.path, tmp)?;
+        {
+            let f = std::fs::OpenOptions::new().write(true).open(tmp)?;
+            for (off, img) in self.overlay.sorted() {
+                f.write_all_at(img, off)?;
+            }
+        }
+        let mut f = CountedFile::open_rw(self.env, tmp)?;
+        for (&off, img) in &staged.pages {
+            f.write_at(off, img)?;
+        }
+        f.write_at(0, &staged.hdr.encode())?;
         f.sync()?;
         // Shrink to the exact new geometry when sections contracted. A raw
         // metadata truncate, like the fork copy: not a block transfer.
-        let want = new_hdr.file_len();
+        let want = staged.hdr.file_len();
         if f.len_bytes()? > want {
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(tmp)?
                 .set_len(want)?;
         }
-        Ok((new_hdr, f, pages_rewritten, pos_update))
+        Ok(())
     }
 }
 
@@ -1405,38 +1613,52 @@ enum DagPosUpdate {
     Append(Vec<((NodeId, NodeId), u64)>),
 }
 
-/// Writes `bytes` at `off` padded to whole pages; folds per-page hashes
-/// into `xor` when given. Writes nothing (not even a padding page) when
-/// `bytes` is empty.
-fn write_padded(
-    f: &mut CountedFile,
+fn dag_record(s: NodeId, d: NodeId, c: u32) -> [u8; DAG_ENTRY as usize] {
+    let mut rec = [0u8; DAG_ENTRY as usize];
+    rec[0..4].copy_from_slice(&s.to_le_bytes());
+    rec[4..8].copy_from_slice(&d.to_le_bytes());
+    rec[8..12].copy_from_slice(&c.to_le_bytes());
+    rec
+}
+
+/// Stages `bytes` at `off` as whole zero-padded pages; folds per-page
+/// hashes (four at a time) into `xor` when given. Stages nothing (not even
+/// a padding page) when `bytes` is empty.
+fn stage_padded(
+    pages: &mut BTreeMap<u64, Vec<u8>>,
     off: u64,
     page: u64,
     bytes: &[u8],
-    mut xor: Option<&mut u64>,
-) -> io::Result<()> {
-    let mut at = 0usize;
-    let mut p = 0u64;
-    while at < bytes.len() {
-        let take = bytes.len().min(at + page as usize) - at;
-        let mut buf = vec![0u8; page as usize];
-        buf[..take].copy_from_slice(&bytes[at..at + take]);
-        f.write_at(off + p * page, &buf)?;
-        if let Some(x) = xor.as_deref_mut() {
-            *x ^= page_hash(p, &buf);
-        }
-        at += take;
-        p += 1;
+    xor: Option<&mut u64>,
+) {
+    let bufs: Vec<Vec<u8>> = bytes
+        .chunks(page as usize)
+        .map(|chunk| {
+            let mut buf = vec![0u8; page as usize];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            buf
+        })
+        .collect();
+    if let Some(x) = xor {
+        let items: Vec<(u64, &[u8])> = bufs
+            .iter()
+            .enumerate()
+            .map(|(p, b)| (p as u64, &b[..]))
+            .collect();
+        *x = page_hashes(&items).into_iter().fold(*x, |acc, h| acc ^ h);
     }
-    Ok(())
+    for (p, buf) in bufs.into_iter().enumerate() {
+        pages.insert(off + p as u64 * page, buf);
+    }
 }
 
 /// Applies byte-range `writes` (section-relative offsets) to a page-hashed
 /// section: reads each affected page once, XORs its old hash out (if the
-/// page existed), applies the overlapping slices, writes it back, and XORs
-/// the new hash in. Fresh pages beyond `old_pages` start as zeros.
+/// page existed), applies the overlapping slices, stages it, and XORs the
+/// new hash in. Fresh pages beyond `old_pages` start as zeros.
 fn patch_pages(
-    f: &mut CountedFile,
+    io: &mut dyn IndexIo,
+    pages: &mut BTreeMap<u64, Vec<u8>>,
     sec_off: u64,
     page: u64,
     old_pages: u64,
@@ -1459,16 +1681,14 @@ fn patch_pages(
     for (p, slices) in by_page {
         let mut buf = vec![0u8; page as usize];
         if p < old_pages {
-            if f.read_at(sec_off + p * page, &mut buf)? != buf.len() {
-                return Err(bad("section truncated during patch"));
-            }
+            read_exact_at(io, sec_off + p * page, &mut buf, "dag section")?;
             *xor ^= page_hash(p, &buf);
         }
         for (at, bytes) in slices {
             buf[at..at + bytes.len()].copy_from_slice(bytes);
         }
-        f.write_at(sec_off + p * page, &buf)?;
         *xor ^= page_hash(p, &buf);
+        pages.insert(sec_off + p * page, buf);
     }
     Ok(())
 }

@@ -14,8 +14,9 @@
 //! benefits from the buffer pool physically. The artifact is always backed
 //! by a real on-disk file (even under in-memory environments — see
 //! [`CountedFile::create_persistent`]), so it survives the environment that
-//! built it and reopens in `O(1)` memory: [`SccIndex::open`] reads the
-//! header and streams a checksum pass, after which every query touches a
+//! built it and reopens in `O(1)` memory beyond the delta log's page
+//! images: [`SccIndex::open`] reads the header, replays the log and
+//! streams a checksum pass, after which every query touches a
 //! bounded number of blocks — [`component_of`](SccIndex::component_of) one,
 //! [`same_component`](SccIndex::same_component) at most two (zero when
 //! `u == v`, one when both labels share a page),
@@ -63,18 +64,24 @@
 //!
 //! Version 1 was write-once: one monolithic payload checksum over every
 //! byte of the file, recomputable only by streaming the whole artifact.
-//! Version 2 exists because PR 9's delta engine ([`crate::delta`])
-//! introduces the repo's first *write-after-build* path, and three format
-//! properties make localized updates possible:
+//! Version 2 exists because the delta engine ([`crate::delta`]) adds a
+//! *write-after-build* path, and three format properties make localized
+//! updates possible:
 //!
 //! * **Generation counter** (header word 13). Every successful
 //!   [`delta::DeltaEngine::apply`](crate::delta::DeltaEngine::apply) or
-//!   `compact` writes a complete new artifact *file* — fork the current
-//!   one, patch the touched pages, bump the generation, atomically
-//!   `rename(2)` over the old path. Readers that opened generation `g`
-//!   keep their file descriptor to the old inode and never observe a torn
-//!   index; a crash mid-update leaves the previous generation at the path
-//!   untouched. [`SccIndex::generation`] exposes the counter.
+//!   `compact` commits generation `g + 1` in one of two ways. A commit
+//!   that merges no components appends one checksummed record — its
+//!   journal operations, the after-images of the DAG and dirty pages it
+//!   touched, and the new header — to the **delta log**
+//!   `<artifact>.dlog` ([`crate::dlog`]); the record's fsync is the commit
+//!   point and the artifact file is not touched. Merges, re-verification,
+//!   `compact`, and any commit made once the log's commit records hold
+//!   more bytes than the artifact **fold** instead: they write a complete
+//!   new artifact *file* (fork the current generation, patch the touched
+//!   pages, bump the generation, atomically `rename(2)` over the old path)
+//!   and then rename a fresh log holding only the journal over the old
+//!   one. [`SccIndex::generation`] exposes the counter.
 //! * **Per-page checksums for the patched sections.** The labels section
 //!   is covered by `labels_xor`: the XOR over label pages of
 //!   `FNV-1a(page_index ‖ page bytes)`. Patching one label page updates
@@ -86,7 +93,9 @@
 //!   `count`, tombstoning at zero) and appends new records at the tail —
 //!   either touches one or two pages and costs an `O(1)` checksum update,
 //!   which is what keeps a metadata-only edge insert at `O(1)` page
-//!   writes.
+//!   writes. Open-time validation hashes these pages four at a time, as
+//!   four independent FNV-1a chains, with digests identical to the serial
+//!   hash.
 //! * **Per-section record checksums for the rewritten sections.** The size
 //!   table and dirty section are never patched in place — they are small
 //!   and rewritten wholesale when they change — so each carries a plain
@@ -94,14 +103,30 @@
 //!   page padding is excluded (it can never influence an answer); the
 //!   labels and DAG sections cover padding because they hash whole pages.
 //!
-//! The header additionally records the length and running checksum of the
-//! **journal sidecar** (`<artifact>.dlog`, see [`crate::delta`]): the
-//! append-only log of delta operations since the build. The sidecar is
-//! *not* read by plain query handles — only the delta engine needs it (to
-//! reconstruct the current edge multiset when lazily re-verifying a dirty
-//! component) — and the header's `(n_journal, journal_fnv)` pair
-//! authenticates exactly the prefix belonging to this generation, so bytes
-//! a crashed update appended past it are ignored on reopen.
+//! The header additionally records the count and running checksum of the
+//! **journal** (`n_journal`, `journal_fnv`): every delta operation since
+//! the build, which the delta engine needs to reconstruct the current edge
+//! multiset when it re-verifies a dirty component. The operations live in
+//! the log's records; a fold's fresh log opens with a checkpoint record
+//! holding all of them.
+//!
+//! ## Opening a generation
+//!
+//! Every open — [`SccIndex::open`], [`SccIndex::open_shared`] and the
+//! delta engine's — runs the same protocol: open the log first (a fold
+//! may rename it away; whatever the handle holds either chains to the
+//! artifact opened next or is stale), read and check the artifact's
+//! header, replay the log's valid prefix (each record must name the header
+//! before it by its checksum word, and every page image must match the
+//! record's page hash; a torn last record is ignored, a bad record with
+//! complete records after it is `InvalidData`, and a log whose first
+//! record does not chain to the artifact is stale and ignored), then
+//! validate the geometry, length and every section checksum of the
+//! resulting generation over the artifact with the log's page images laid
+//! over it. Images only ever cover DAG and dirty pages, so every query —
+//! labels and sizes — reads the artifact directly; only the DAG and dirty
+//! iterators look at the overlay. The log is read raw, outside the logical
+//! I/O pricing, so owned and shared opens still price identically.
 //!
 //! A flipped byte in the header, a label page, or any record of the sizes /
 //! DAG / dirty sections is rejected at [`SccIndex::open`] with a checksum
@@ -109,10 +134,12 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ce_extmem::file::CountedFile;
 use ce_extmem::{sort_streaming_by_key, DiskEnv, ExtFile, SharedFile, SortedStream};
 
+use crate::dlog::{self, Overlay, Replay};
 use crate::types::{CountedEdge, Edge, NodeId, SccLabel};
 
 /// Magic bytes of the index format.
@@ -128,7 +155,7 @@ pub(crate) const SIZE_ENTRY: u64 = 16;
 pub(crate) const DAG_ENTRY: u64 = 12;
 /// Bytes per dirty-component entry (one representative id).
 pub(crate) const DIRTY_ENTRY: u64 = 4;
-/// Bytes per journal sidecar record (tag, src, dst).
+/// Bytes per journal operation (tag, src, dst).
 pub(crate) const JOURNAL_ENTRY: u64 = 12;
 /// Geometry sanity bounds enforced at open (see [`open_checked`]).
 const MAX_PAGE: u64 = 1 << 31;
@@ -141,9 +168,12 @@ const MAX_DAG_EDGES: u64 = 1 << 40;
 #[derive(Clone, Copy)]
 pub(crate) struct Fnv(pub(crate) u64);
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 impl Fnv {
     pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     /// Resumes from a stored running state.
@@ -153,8 +183,7 @@ impl Fnv {
 
     pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -174,7 +203,37 @@ pub(crate) fn page_hash(page_idx: u64, bytes: &[u8]) -> u64 {
     fnv.finish()
 }
 
-/// Journal sidecar path: `<artifact>.dlog` next to the artifact.
+/// [`page_hash`] of every `(page index, page bytes)` pair, in order. Four
+/// equal-length pages at a time run as four independent FNV-1a chains in
+/// one loop, so each chain's multiply latency overlaps the other three's;
+/// every digest is exactly the serial [`page_hash`]. Open-time validation
+/// hashes whole sections this way.
+pub(crate) fn page_hashes(pages: &[(u64, &[u8])]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(pages.len());
+    let mut groups = pages.chunks_exact(4);
+    for g in &mut groups {
+        let len = g[0].1.len();
+        if g.iter().any(|(_, b)| b.len() != len) {
+            out.extend(g.iter().map(|&(i, b)| page_hash(i, b)));
+            continue;
+        }
+        let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(FNV_PRIME);
+        let seed = |i: u64| i.to_le_bytes().into_iter().fold(FNV_OFFSET, step);
+        let (mut h0, mut h1, mut h2, mut h3) =
+            (seed(g[0].0), seed(g[1].0), seed(g[2].0), seed(g[3].0));
+        for (((&a, &b), &c), &d) in g[0].1.iter().zip(g[1].1).zip(g[2].1).zip(g[3].1) {
+            h0 = step(h0, a);
+            h1 = step(h1, b);
+            h2 = step(h2, c);
+            h3 = step(h3, d);
+        }
+        out.extend_from_slice(&[h0, h1, h2, h3]);
+    }
+    out.extend(groups.remainder().iter().map(|&(i, b)| page_hash(i, b)));
+    out
+}
+
+/// Delta log path: `<artifact>.dlog` next to the artifact.
 pub(crate) fn journal_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".dlog");
@@ -274,6 +333,12 @@ impl Header {
         })
     }
 
+    /// The header's own checksum word: identifies this exact header, so a
+    /// delta-log record names the generation it applies on top of.
+    pub(crate) fn tag(&self) -> u64 {
+        u64::from_le_bytes(self.encode()[HEADER_LEN - 8..].try_into().unwrap())
+    }
+
     /// Total file length implied by the header (every section page-padded).
     pub(crate) fn file_len(&self) -> u64 {
         align_up(self.dirty_off + DIRTY_ENTRY * self.n_dirty, self.page_size)
@@ -282,6 +347,15 @@ impl Header {
     /// Number of pages in the labels section.
     pub(crate) fn label_pages(&self) -> u64 {
         (self.sizes_off - self.labels_off) / self.page_size
+    }
+
+    /// Number of pages in the DAG section (0 when absent).
+    pub(crate) fn dag_pages(&self) -> u64 {
+        if self.dag_off == 0 {
+            return 0;
+        }
+        (align_up(self.dag_off + DAG_ENTRY * self.n_dag_edges, self.page_size) - self.dag_off)
+            / self.page_size
     }
 }
 
@@ -381,13 +455,13 @@ impl IndexIo for CountedFile {
     }
 }
 
-impl IndexIo for &mut CountedFile {
+impl<T: IndexIo + ?Sized> IndexIo for &mut T {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        CountedFile::read_at(self, offset, buf)
+        (**self).read_at(offset, buf)
     }
 
     fn len_bytes(&self) -> io::Result<u64> {
-        CountedFile::len_bytes(self)
+        (**self).len_bytes()
     }
 }
 
@@ -402,6 +476,71 @@ impl IndexIo for SharedIo<'_> {
 
     fn len_bytes(&self) -> io::Result<u64> {
         Ok(self.0.len_bytes())
+    }
+}
+
+/// The artifact as the current generation sees it: the base file with the
+/// delta log's page images laid over it (see [`crate::dlog`]). Only DAG and
+/// dirty-section pages are ever overlaid, so label and size reads — every
+/// query — go straight to the base handle; with an empty overlay every read
+/// does, priced exactly as without this wrapper. A read that crosses pages
+/// serves overlaid pages from memory and coalesces each run of base pages
+/// into one base read.
+pub(crate) struct OverlayIo<'a> {
+    base: Box<dyn IndexIo + 'a>,
+    overlay: &'a Overlay,
+    page: u64,
+}
+
+impl<'a> OverlayIo<'a> {
+    pub(crate) fn new(base: impl IndexIo + 'a, overlay: &'a Overlay, page: u64) -> OverlayIo<'a> {
+        OverlayIo {
+            base: Box::new(base),
+            overlay,
+            page,
+        }
+    }
+}
+
+impl IndexIo for OverlayIo<'_> {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        if self.overlay.is_empty() {
+            return self.base.read_at(offset, buf);
+        }
+        let len = self.len_bytes()?;
+        if offset >= len {
+            return Ok(0);
+        }
+        let n = (buf.len() as u64).min(len - offset) as usize;
+        let mut run: Option<usize> = None; // start of a pending base run
+        let mut done = 0usize;
+        while done < n {
+            let pos = offset + done as u64;
+            let start = pos - pos % self.page;
+            let intra = (pos - start) as usize;
+            let take = (self.page as usize - intra).min(n - done);
+            if let Some(img) = self.overlay.get(start) {
+                if let Some(r) = run.take() {
+                    let got = self.base.read_at(offset + r as u64, &mut buf[r..done])?;
+                    if got < done - r {
+                        return Ok(r + got);
+                    }
+                }
+                buf[done..done + take].copy_from_slice(&img[intra..intra + take]);
+            } else if run.is_none() {
+                run = Some(done);
+            }
+            done += take;
+        }
+        if let Some(r) = run {
+            let got = self.base.read_at(offset + r as u64, &mut buf[r..n])?;
+            return Ok(r + got);
+        }
+        Ok(n)
+    }
+
+    fn len_bytes(&self) -> io::Result<u64> {
+        Ok(self.base.len_bytes()?.max(self.overlay.end()))
     }
 }
 
@@ -442,16 +581,50 @@ fn stream_fnv(
     Ok(fnv.finish())
 }
 
-/// Reads the header and validates magic, version, geometry and every
-/// section checksum — the whole open-time protocol, shared verbatim by
-/// [`SccIndex::open`] and [`SccIndex::open_shared`] so both handles reject
-/// exactly the same corruptions at exactly the same logical I/O cost.
-pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
+/// XOR of [`page_hash`] over `n_pages` whole pages from `off` — the
+/// open-time pass for the page-hashed sections (labels, DAG). Pages are
+/// read one counted call each, as a page-by-page scan would, and hashed
+/// four at a time ([`page_hashes`]).
+fn section_xor(
+    io: &mut dyn IndexIo,
+    off: u64,
+    n_pages: u64,
+    page: u64,
+    what: &str,
+) -> io::Result<u64> {
+    let ps = page as usize;
+    let mut buf = vec![0u8; 4 * ps];
+    let mut xor = 0u64;
+    let mut p = 0u64;
+    while p < n_pages {
+        let k = (n_pages - p).min(4) as usize;
+        for (i, chunk) in buf.chunks_exact_mut(ps).take(k).enumerate() {
+            read_exact_at(io, off + (p + i as u64) * page, chunk, what)?;
+        }
+        let items: Vec<(u64, &[u8])> = buf
+            .chunks_exact(ps)
+            .take(k)
+            .enumerate()
+            .map(|(i, c)| (p + i as u64, c))
+            .collect();
+        xor = page_hashes(&items).into_iter().fold(xor, |x, h| x ^ h);
+        p += k as u64;
+    }
+    Ok(xor)
+}
+
+/// Magic, version and header checksum, then the geometry bounds.
+fn read_header(io: &mut dyn IndexIo) -> io::Result<Header> {
     let mut buf = [0u8; HEADER_LEN];
     if io.read_at(0, &mut buf)? != HEADER_LEN {
         return Err(bad("file too short for a header"));
     }
     let hdr = Header::decode(&buf)?;
+    check_geometry(&hdr)?;
+    Ok(hdr)
+}
+
+fn check_geometry(hdr: &Header) -> io::Result<()> {
     let page = hdr.page_size;
     // Bound every header count before any arithmetic on it: the header
     // checksum is unkeyed, so a hostile file can carry any bytes — the
@@ -481,6 +654,34 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
     {
         return Err(bad("inconsistent section geometry"));
     }
+    Ok(())
+}
+
+/// The whole open-time protocol, shared verbatim by [`SccIndex::open`],
+/// [`SccIndex::open_shared`] and the delta engine's open, so every handle
+/// rejects exactly the same corruptions at exactly the same logical I/O
+/// cost and lands on the same generation: read and check the base header,
+/// replay the valid prefix of the delta log (`log`, read by the caller;
+/// see [`crate::dlog`]), then validate the current generation's geometry,
+/// length and every section checksum over the base file with the log's
+/// page images laid over it.
+pub(crate) fn open_checked(io: &mut dyn IndexIo, log: Option<&[u8]>) -> io::Result<Replay> {
+    let base = read_header(io)?;
+    let replay = match log {
+        Some(bytes) => dlog::replay(base, bytes)?,
+        None => Replay::empty(base),
+    };
+    check_geometry(&replay.hdr)?;
+    validate(
+        &mut OverlayIo::new(io, &replay.overlay, replay.hdr.page_size),
+        &replay.hdr,
+    )?;
+    Ok(replay)
+}
+
+/// Length and every section checksum of the generation `hdr` describes.
+fn validate(io: &mut dyn IndexIo, hdr: &Header) -> io::Result<()> {
+    let page = hdr.page_size;
     let want_len = hdr.file_len();
     if io.len_bytes()? != want_len {
         return Err(bad(&format!(
@@ -489,13 +690,14 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
         )));
     }
     // Labels: XOR of per-page hashes (whole pages, padding included).
-    let mut xor = 0u64;
-    let mut chunk = vec![0u8; page as usize];
-    for p in 0..hdr.label_pages() {
-        read_exact_at(io, hdr.labels_off + p * page, &mut chunk, "labels section")?;
-        xor ^= page_hash(p, &chunk);
-    }
-    if xor != hdr.labels_xor {
+    if section_xor(
+        io,
+        hdr.labels_off,
+        hdr.label_pages(),
+        page,
+        "labels section",
+    )? != hdr.labels_xor
+    {
         return Err(bad("labels checksum mismatch"));
     }
     // Record-checksummed sections.
@@ -508,14 +710,7 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
         // Like labels, the DAG section is validated per whole page (it is
         // patched in place by the delta engine, so it carries the XOR
         // scheme; padding included).
-        let dag_pages = (align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page) - hdr.dag_off)
-            / page;
-        let mut xor = 0u64;
-        for p in 0..dag_pages {
-            read_exact_at(io, hdr.dag_off + p * page, &mut chunk, "dag section")?;
-            xor ^= page_hash(p, &chunk);
-        }
-        if xor != hdr.dag_xor {
+        if section_xor(io, hdr.dag_off, hdr.dag_pages(), page, "dag section")? != hdr.dag_xor {
             return Err(bad("dag section checksum mismatch"));
         }
     }
@@ -524,7 +719,7 @@ pub(crate) fn open_checked(io: &mut dyn IndexIo) -> io::Result<Header> {
     {
         return Err(bad("dirty section checksum mismatch"));
     }
-    Ok(hdr)
+    Ok(())
 }
 
 pub(crate) fn check_node(hdr: &Header, u: NodeId) -> io::Result<()> {
@@ -631,6 +826,12 @@ pub(crate) fn lookup_size(io: &mut dyn IndexIo, hdr: &Header, u: NodeId) -> io::
 /// artifact — `scc index apply` / `scc index compact` — use this before
 /// constructing the environment.
 pub fn sniff_page_size(path: &Path) -> io::Result<u64> {
+    Ok(read_raw_header(path)?.page_size)
+}
+
+/// The artifact's header from one raw, uncounted read: magic, version,
+/// header checksum and a plausible page size are checked, nothing else.
+pub(crate) fn read_raw_header(path: &Path) -> io::Result<Header> {
     let mut raw = [0u8; HEADER_LEN];
     {
         use std::io::Read as _;
@@ -645,11 +846,11 @@ pub fn sniff_page_size(path: &Path) -> io::Result<u64> {
             }
         }
     }
-    let page = Header::decode(&raw)?.page_size;
-    if page == 0 || page > MAX_PAGE {
+    let hdr = Header::decode(&raw)?;
+    if hdr.page_size == 0 || hdr.page_size > MAX_PAGE {
         return Err(bad("implausible header geometry"));
     }
-    Ok(page)
+    Ok(hdr)
 }
 
 /// A reopened SCC index. See the module docs for the format and the I/O
@@ -658,6 +859,7 @@ pub fn sniff_page_size(path: &Path) -> io::Result<u64> {
 pub struct SccIndex {
     file: CountedFile,
     hdr: Header,
+    overlay: Overlay,
 }
 
 impl std::fmt::Debug for SccIndex {
@@ -682,7 +884,7 @@ impl SccIndex {
     ///
     /// The file at `path` is created on the real filesystem regardless of
     /// the environment's backend, truncating any previous artifact (and any
-    /// stale journal sidecar next to it); all bytes flow through the
+    /// stale delta log next to it); all bytes flow through the
     /// environment's pager and logical I/O counters. One external sort of
     /// the label file (by representative) derives the component-size table.
     pub fn build(
@@ -799,27 +1001,47 @@ impl SccIndex {
             file.write_at(have, &vec![0u8; (want - have) as usize])?;
         }
         file.sync()?;
-        // A journal sidecar from an earlier artifact at this path would be
-        // misattributed to the fresh generation-0 index: drop it.
-        match std::fs::remove_file(journal_path(path)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        // A delta log from an earlier artifact at this path (or a fold's
+        // unfinished one) would be misattributed to the fresh generation-0
+        // index: drop it.
+        for log in [journal_path(path), dlog::fold_tmp_path(path)] {
+            match std::fs::remove_file(log) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
         }
         Ok(n_sccs)
     }
 
-    /// Reopens an artifact in `O(1)` memory: reads the header, validates
+    /// Reopens an artifact: reads the header, replays the delta log's
+    /// valid prefix (see [`crate::dlog`]; memory for the DAG and dirty
+    /// page images it holds, `O(1)` otherwise), validates
     /// magic/version/geometry, and streams one checksum pass over the
     /// payload sections. A file that was truncated, extended or had any
     /// record byte flipped is rejected here with an
     /// [`io::ErrorKind::InvalidData`] checksum/geometry error — corruption
     /// never reaches query answers.
     pub fn open(env: &DiskEnv, path: &Path) -> io::Result<SccIndex> {
+        let (file, replay) = Self::open_owned(env, path)?;
+        Ok(SccIndex {
+            file,
+            hdr: replay.hdr,
+            overlay: replay.overlay,
+        })
+    }
+
+    /// The owned open protocol, also the delta engine's: the artifact
+    /// handle plus everything the log replay produced.
+    pub(crate) fn open_owned(env: &DiskEnv, path: &Path) -> io::Result<(CountedFile, Replay)> {
         let _sp = ce_extmem::io_span!(env, "index_open");
+        // The log first: its handle pins the log a fold may rename away, so
+        // its records either chain to the artifact opened next or are stale.
+        let log = dlog::open_log(path)?;
         let mut file = CountedFile::open_read(env, path)?;
-        let hdr = open_checked(&mut file)?;
-        Ok(SccIndex { file, hdr })
+        let bytes = dlog::read_log(log)?;
+        let replay = open_checked(&mut file, bytes.as_deref())?;
+        Ok((file, replay))
     }
 
     /// Opens the artifact for **concurrent** reads: returns a cloneable
@@ -926,7 +1148,10 @@ impl SccIndex {
     pub fn condensation_edges(&mut self) -> DagEdgesIter<'_> {
         let hdr = self.hdr;
         DagEdgesIter {
-            cursor: dag_cursor(Box::new(&mut self.file), &hdr),
+            cursor: dag_cursor(
+                Box::new(OverlayIo::new(&mut self.file, &self.overlay, hdr.page_size)),
+                &hdr,
+            ),
         }
     }
 
@@ -937,17 +1162,13 @@ impl SccIndex {
         let hdr = self.hdr;
         DirtyIter {
             cursor: SectionCursor::new(
-                Box::new(&mut self.file),
+                Box::new(OverlayIo::new(&mut self.file, &self.overlay, hdr.page_size)),
                 hdr.page_size,
                 hdr.dirty_off,
                 DIRTY_ENTRY,
                 hdr.n_dirty,
             ),
         }
-    }
-
-    pub(crate) fn into_parts(self) -> (CountedFile, Header) {
-        (self.file, self.hdr)
     }
 }
 
@@ -971,6 +1192,7 @@ fn dag_cursor<'a>(io: Box<dyn IndexIo + 'a>, hdr: &Header) -> SectionCursor<'a> 
 pub struct SccIndexReader {
     file: SharedFile,
     hdr: Header,
+    overlay: Arc<Overlay>,
 }
 
 impl std::fmt::Debug for SccIndexReader {
@@ -993,11 +1215,17 @@ impl SccIndexReader {
         // before the first counted read, or the logical pricing would
         // diverge from the owned path (whose environment knows the block
         // size a priori).
+        // The log handle first, as in `SccIndex::open_owned`.
+        let log = dlog::open_log(path)?;
         let page = sniff_page_size(path)?;
         let file = SharedFile::open(path, page as usize, cache_blocks)?;
-        let mut io = SharedIo(&file);
-        let hdr = open_checked(&mut io)?;
-        Ok(SccIndexReader { file, hdr })
+        let bytes = dlog::read_log(log)?;
+        let replay = open_checked(&mut SharedIo(&file), bytes.as_deref())?;
+        Ok(SccIndexReader {
+            file,
+            hdr: replay.hdr,
+            overlay: Arc::new(replay.overlay),
+        })
     }
 
     /// Number of nodes the index covers (the universe `0..n_nodes`).
@@ -1025,9 +1253,10 @@ impl SccIndexReader {
         self.hdr.page_size
     }
 
-    /// Index generation of the artifact this handle opened. Clones keep
-    /// serving this generation even after a delta update renames a newer
-    /// one over the path — swap in a freshly opened reader to advance.
+    /// Index generation this handle opened. Clones keep serving this
+    /// generation even after a delta update appends a newer one to the log
+    /// or renames one over the path — swap in a freshly opened reader to
+    /// advance.
     pub fn generation(&self) -> u64 {
         self.hdr.generation
     }
@@ -1095,7 +1324,14 @@ impl SccIndexReader {
     /// both handles drive the identical cursor over the private I/O seam).
     pub fn condensation_edges(&self) -> DagEdgesIter<'_> {
         DagEdgesIter {
-            cursor: dag_cursor(Box::new(SharedIo(&self.file)), &self.hdr),
+            cursor: dag_cursor(
+                Box::new(OverlayIo::new(
+                    SharedIo(&self.file),
+                    &self.overlay,
+                    self.hdr.page_size,
+                )),
+                &self.hdr,
+            ),
         }
     }
 
@@ -1104,7 +1340,11 @@ impl SccIndexReader {
     pub fn dirty_components(&self) -> DirtyIter<'_> {
         DirtyIter {
             cursor: SectionCursor::new(
-                Box::new(SharedIo(&self.file)),
+                Box::new(OverlayIo::new(
+                    SharedIo(&self.file),
+                    &self.overlay,
+                    self.hdr.page_size,
+                )),
                 self.hdr.page_size,
                 self.hdr.dirty_off,
                 DIRTY_ENTRY,
@@ -1258,6 +1498,29 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn four_chain_page_hashes_equal_the_serial_page_hash() {
+        // Pages of distinct bytes, including odd lengths; every count from
+        // 0 to 9 exercises full groups of four and every remainder.
+        for page in [64usize, 100] {
+            let bytes: Vec<u8> = (0..9 * page).map(|i| (i * 31 + i / 7) as u8).collect();
+            for count in 0..=9usize {
+                let items: Vec<(u64, &[u8])> = bytes
+                    .chunks_exact(page)
+                    .take(count)
+                    .enumerate()
+                    .map(|(i, c)| (3 + i as u64, c))
+                    .collect();
+                let serial: Vec<u64> = items.iter().map(|&(i, c)| page_hash(i, c)).collect();
+                assert_eq!(page_hashes(&items), serial, "{count} pages of {page} bytes");
+            }
+        }
+        // Unequal lengths within a group fall back to the serial hash.
+        let mixed: Vec<(u64, &[u8])> = vec![(0, b"a"), (1, b"bb"), (2, b""), (3, b"dddd")];
+        let serial: Vec<u64> = mixed.iter().map(|&(i, c)| page_hash(i, c)).collect();
+        assert_eq!(page_hashes(&mixed), serial);
     }
 
     #[test]

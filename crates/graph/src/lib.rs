@@ -31,11 +31,14 @@
 //! * [`delta`] — [`delta::DeltaEngine`]: incremental maintenance of a stored
 //!   index under edge insertions/deletions (classification against the
 //!   condensation DAG, localized merges, lazy re-verification, crash-safe
-//!   generation swaps).
+//!   generation swaps);
+//! * [`dlog`] — the format of the delta log (`<artifact>.dlog`), where
+//!   commits that merge no components append their records.
 
 pub mod algo;
 pub mod delta;
 pub mod csr;
+pub mod dlog;
 pub mod edgelist;
 pub mod gen;
 pub mod index;

@@ -247,12 +247,25 @@ impl SharedPager {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+    /// A scratch file in a directory of its own; dropping the guard
+    /// removes the directory, also when an assertion fails first.
+    struct Scratch {
+        dir: std::path::PathBuf,
+        path: std::path::PathBuf,
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn scratch(name: &str, bytes: &[u8]) -> Scratch {
         let dir = std::env::temp_dir().join(format!("ce-shared-pager-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("data.bin");
         std::fs::write(&path, bytes).unwrap();
-        path
+        Scratch { dir, path }
     }
 
     fn pattern(len: usize) -> Vec<u8> {
@@ -262,8 +275,8 @@ mod tests {
     #[test]
     fn reads_match_the_file_at_every_alignment() {
         let bytes = pattern(1000); // not block-aligned: tail block is short
-        let path = scratch("align", &bytes);
-        let p = SharedPager::open(&path, 64, 8).unwrap();
+        let file = scratch("align", &bytes);
+        let p = SharedPager::open(&file.path, 64, 8).unwrap();
         assert_eq!(p.len_bytes(), 1000);
         let mut buf = vec![0u8; 300];
         for &(off, want) in &[(0u64, 300usize), (1, 300), (63, 300), (64, 300), (900, 100), (999, 1), (1000, 0)] {
@@ -277,9 +290,9 @@ mod tests {
     #[test]
     fn hits_misses_and_evictions_are_counted() {
         let bytes = pattern(64 * 6);
-        let path = scratch("counts", &bytes);
+        let file = scratch("counts", &bytes);
         // capacity 2 -> 2 shards of 1 frame; even blocks share shard 0.
-        let p = SharedPager::open(&path, 64, 2).unwrap();
+        let p = SharedPager::open(&file.path, 64, 2).unwrap();
         assert_eq!(p.capacity(), 2);
         let mut b = [0u8; 8];
         p.read_at(0, &mut b).unwrap(); // block 0: miss
@@ -299,8 +312,8 @@ mod tests {
     #[test]
     fn zero_capacity_is_a_pass_through() {
         let bytes = pattern(256);
-        let path = scratch("passthrough", &bytes);
-        let p = SharedPager::open(&path, 64, 0).unwrap();
+        let file = scratch("passthrough", &bytes);
+        let p = SharedPager::open(&file.path, 64, 0).unwrap();
         assert_eq!(p.capacity(), 0);
         let mut b = [0u8; 4];
         p.read_at(0, &mut b).unwrap();
@@ -317,8 +330,8 @@ mod tests {
     #[test]
     fn concurrent_readers_see_consistent_bytes() {
         let bytes = pattern(64 * 40);
-        let path = scratch("threads", &bytes);
-        let p = Arc::new(SharedPager::open(&path, 64, 8).unwrap());
+        let file = scratch("threads", &bytes);
+        let p = Arc::new(SharedPager::open(&file.path, 64, 8).unwrap());
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let p = Arc::clone(&p);
@@ -346,7 +359,7 @@ mod tests {
 
     #[test]
     fn zero_block_size_is_rejected() {
-        let path = scratch("badbs", &[0u8; 16]);
-        assert!(SharedPager::open(&path, 0, 4).is_err());
+        let file = scratch("badbs", &[0u8; 16]);
+        assert!(SharedPager::open(&file.path, 0, 4).is_err());
     }
 }

@@ -1132,9 +1132,10 @@ fn serve_stdin(
                             match eng.apply(&batch) {
                                 Ok(r) => {
                                     // Atomic generation swap: reopen the
-                                    // renamed artifact behind a fresh shared
-                                    // pool and rebind the handle the query
-                                    // workers clone from.
+                                    // new generation (artifact + delta log)
+                                    // behind a fresh shared pool and rebind
+                                    // the handle the query workers clone
+                                    // from.
                                     *idx = SccIndex::open_shared(index_path, cache_blocks)?;
                                     mutated += 1;
                                     let kind = if add {

@@ -262,7 +262,7 @@ impl SccSession {
 
     /// Opens the incremental-maintenance engine over the session's live
     /// index (see [`DeltaEngine`]). The open re-validates the artifact and
-    /// the journal sidecar; hold the engine across a stream of batches to
+    /// replays its delta log; hold the engine across a stream of batches to
     /// pay that once. Requires an index built with
     /// [`SccSession::condensation`] (the CLI flag `--with-condensation`).
     pub fn delta_engine(&self) -> io::Result<DeltaEngine<'_>> {
