@@ -18,11 +18,17 @@
 //! * **Insert `(u, v)`, cycle-creating** — the affected region is exactly
 //!   the components on some DAG path `comp(v) ⇝ comp(u)` (computed as the
 //!   backward cone of `comp(u)` intersected with a forward walk from
-//!   `comp(v)` bounded to that cone). The in-memory SCC kernel
+//!   `comp(v)` bounded to that cone; both walks mark visits in one reusable
+//!   stamp array). The in-memory SCC kernel
 //!   ([`crate::tarjan::tarjan_scc`]) re-runs on that small condensation
-//!   subgraph plus the new edge, and the resulting merge rewrites **only**
-//!   the label pages owning affected nodes, the size table, and the DAG
-//!   section — into a new index generation.
+//!   subgraph plus the new edge. Each merged group takes its minimum member
+//!   as representative; only the *absorbed* members' condensation edges
+//!   move onto it, so merging into a hub costs the absorbed members'
+//!   degree, not the hub's. The new generation writes **only** the label
+//!   pages owning absorbed nodes, the size-table pages of the changed
+//!   representatives, and the DAG pages of the records that changed: the
+//!   absorbed members' records become `count == 0` tombstones in place,
+//!   and a moved edge reinforces its existing record or is appended.
 //! * **Delete `(u, v)`, cross-component** — deleting an edge that lies in
 //!   no SCC can never split or merge one; the condensation multiplicity is
 //!   weakened (tombstoned at zero), `O(1)` page writes. A deletion with no
@@ -35,7 +41,8 @@
 //!   dirty component (or an explicit [`DeltaEngine::compact`]) re-runs the
 //!   kernel on the component's induced subgraph — reconstructed from the
 //!   base edge file plus the journal — and rewrites exactly the affected
-//!   labels/sizes/DAG records.
+//!   labels/sizes/DAG records (the whole DAG section instead when the
+//!   patch would leave tombstones, which that rewrite reclaims).
 //!
 //! ## The coarsening invariant
 //!
@@ -75,11 +82,13 @@
 //!   the artifact. The engine forks the artifact with an OS-level copy,
 //!   lays the log's page images over the fork (uncounted, like the copy: a
 //!   clone of the current generation outside the I/O model), patches the
-//!   touched pages of the **fork** through the counted pager, writes the
-//!   new header last, fsyncs, and atomically renames it over the path —
-//!   the commit point. It then writes a new log holding one checkpoint
-//!   record (the whole journal, no page images) under a temporary name and
-//!   renames it over the old log. A crash between the two renames leaves a
+//!   touched pages of the **fork** through the counted pager (for a merge,
+//!   only the label, size and DAG pages the merge changed, never a whole
+//!   section; only `compact` rewrites the DAG section, to reclaim
+//!   tombstones), writes the new header last, fsyncs, and atomically
+//!   renames it over the path — the commit point. It then writes a new log
+//!   holding one checkpoint record (the whole journal, no page images)
+//!   under a temporary name and renames it over the old log. A crash between the two renames leaves a
 //!   log that no longer chains to the artifact: readers ignore it, and the
 //!   next [`DeltaEngine::open`] moves the finished new log into place.
 //!   Label and size-table pages are only ever rewritten by a fold, so the
@@ -97,10 +106,10 @@
 //! Logical I/O is priced end to end in the environment's
 //! [`IoStats`](ce_extmem::IoStats): classification pays the index point
 //! reads, a metadata-only update pays the page reads it patches plus one
-//! record write, a merge pays a sequential label scan plus writes to only
-//! the affected pages, and the whole apply is wrapped in `delta_classify`
-//! / `delta_merge` (re-verification in `delta_compact`) spans for the
-//! tracing sinks.
+//! record write, a merge pays a sequential label scan and one size read per
+//! merged component plus writes to only the affected pages, and the whole
+//! apply is wrapped in `delta_classify` / `delta_merge` (re-verification in
+//! `delta_compact`) spans for the tracing sinks.
 //!
 //! The node universe is fixed at build time (`0..n_nodes`); deltas mutate
 //! edges, not nodes. The journal records node-level operations, so the
@@ -119,7 +128,8 @@ use crate::dlog::{self, Overlay, KIND_CHECKPOINT, KIND_COMMIT};
 use crate::edgelist::EdgeListGraph;
 use crate::index::{
     align_up, bad, journal_path, lookup_rep, lookup_size, page_hash, page_hashes, read_exact_at,
-    Fnv, Header, IndexIo, OverlayIo, SccIndex, DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY, SIZE_ENTRY,
+    read_size, Fnv, Header, IndexIo, OverlayIo, SccIndex, DAG_ENTRY, DIRTY_ENTRY, JOURNAL_ENTRY,
+    SIZE_ENTRY,
 };
 use crate::tarjan::tarjan_scc;
 use crate::types::{CountedEdge, Edge, NodeId};
@@ -222,16 +232,36 @@ pub struct CompactReport {
 ///
 /// While a transaction is open every change records the multiplicity it
 /// replaced, so [`DagAdj::rollback`] restores the adjacency exactly (the
-/// neighbor sets are a function of the multiplicities).
-#[derive(Debug, Default)]
+/// neighbor sets are a function of the multiplicities), and the distinct
+/// keys of that undo log are the transaction's write set
+/// ([`DagAdj::changes`]).
+#[derive(Debug)]
 pub(crate) struct DagAdj {
     counts: BTreeMap<(NodeId, NodeId), u32>,
     fwd: HashMap<NodeId, BTreeSet<NodeId>>,
     bwd: HashMap<NodeId, BTreeSet<NodeId>>,
     undo: Option<Vec<((NodeId, NodeId), u32)>>,
+    /// Visit stamps of the reachability walks, one per node id: a walk
+    /// takes fresh epochs and marks a component visited by writing one into
+    /// its slot, so no walk allocates or clears a visited set.
+    stamp: Vec<u32>,
+    /// The largest epoch handed out; every stamp is at most this.
+    epoch: u32,
 }
 
 impl DagAdj {
+    /// An empty adjacency over component ids `0..n_nodes`.
+    fn new(n_nodes: u64) -> DagAdj {
+        DagAdj {
+            counts: BTreeMap::new(),
+            fwd: HashMap::new(),
+            bwd: HashMap::new(),
+            undo: None,
+            stamp: vec![0; n_nodes as usize],
+            epoch: 0,
+        }
+    }
+
     fn count(&self, s: NodeId, d: NodeId) -> u32 {
         self.counts.get(&(s, d)).copied().unwrap_or(0)
     }
@@ -293,21 +323,49 @@ impl DagAdj {
         }
     }
 
+    /// The open transaction's write set: every key whose multiplicity
+    /// differs from the one it had at [`DagAdj::begin`] — the stored one —
+    /// with its multiplicity now, in key order. Empty outside a transaction.
+    fn changes(&self) -> Vec<((NodeId, NodeId), u32)> {
+        let mut before: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
+        for &(k, old) in self.undo.iter().flatten() {
+            before.entry(k).or_insert(old);
+        }
+        before
+            .into_iter()
+            .map(|(k, old)| (k, old, self.count(k.0, k.1)))
+            .filter(|&(_, old, now)| old != now)
+            .map(|(k, _, now)| (k, now))
+            .collect()
+    }
+
+    /// Two fresh walk epochs, both above every stamp in the array (the
+    /// numbering restarts on a cleared array before it would wrap).
+    fn fresh_epochs(&mut self) -> (u32, u32) {
+        if self.epoch > u32::MAX - 2 {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
+    }
+
     /// Is there a DAG path `from ⇝ to`? (`true` for `from == to`.)
-    fn reaches(&self, from: NodeId, to: NodeId) -> bool {
+    fn reaches(&mut self, from: NodeId, to: NodeId) -> bool {
         if from == to {
             return true;
         }
-        let mut seen = HashSet::new();
+        let (seen, _) = self.fresh_epochs();
+        self.stamp[from as usize] = seen;
         let mut work = vec![from];
-        seen.insert(from);
         while let Some(x) = work.pop() {
             if let Some(nbrs) = self.fwd.get(&x) {
                 for &y in nbrs {
                     if y == to {
                         return true;
                     }
-                    if seen.insert(y) {
+                    if self.stamp[y as usize] != seen {
+                        self.stamp[y as usize] = seen;
                         work.push(y);
                     }
                 }
@@ -316,61 +374,69 @@ impl DagAdj {
         false
     }
 
-    /// All components that can reach `to` (including `to` itself).
-    fn backward_cone(&self, to: NodeId) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
+    /// The components on some DAG path `from ⇝ to` (both included when the
+    /// path exists), ascending: the backward cone of `to` is stamped
+    /// `cone`, then a forward walk from `from` enters only cone members,
+    /// restamping each `path` as it is visited.
+    fn between(&mut self, from: NodeId, to: NodeId) -> Vec<NodeId> {
+        let (cone, path) = self.fresh_epochs();
+        self.stamp[to as usize] = cone;
         let mut work = vec![to];
-        seen.insert(to);
         while let Some(x) = work.pop() {
             if let Some(nbrs) = self.bwd.get(&x) {
                 for &y in nbrs {
-                    if seen.insert(y) {
+                    if self.stamp[y as usize] != cone {
+                        self.stamp[y as usize] = cone;
                         work.push(y);
                     }
                 }
             }
         }
-        seen
-    }
-
-    /// Components reachable from `from` while staying inside `within`
-    /// (including `from`). With `within` = the backward cone of `to`, this
-    /// is exactly the set of components on some path `from ⇝ to`.
-    fn forward_within(&self, from: NodeId, within: &HashSet<NodeId>) -> HashSet<NodeId> {
-        let mut seen = HashSet::new();
-        let mut work = vec![from];
-        seen.insert(from);
+        self.stamp[from as usize] = path;
+        let mut out = vec![from];
+        work.push(from);
         while let Some(x) = work.pop() {
             if let Some(nbrs) = self.fwd.get(&x) {
                 for &y in nbrs {
-                    if within.contains(&y) && seen.insert(y) {
+                    if self.stamp[y as usize] == cone {
+                        self.stamp[y as usize] = path;
+                        out.push(y);
                         work.push(y);
                     }
                 }
             }
         }
-        seen
+        out.sort_unstable();
+        out
     }
 
-    /// Rewrites every edge touching `group` with its members mapped to `l`,
-    /// dropping edges that become loops (they turned intra-component) and
-    /// combining multiplicities.
+    /// Maps every member of `group` to `l`: moves each absorbed member's
+    /// edges onto `l`, dropping those that become loops (they turned
+    /// intra-component) and combining multiplicities. `l`'s own edges to
+    /// and from components outside the group do not change and are not
+    /// touched, so absorbing into a hub costs the absorbed members' degree,
+    /// not the hub's.
     fn remap(&mut self, group: &HashSet<NodeId>, l: NodeId) {
-        let mut touched: Vec<(NodeId, NodeId, u32)> = Vec::new();
+        let mut moved: Vec<(NodeId, NodeId, u32)> = Vec::new();
         for &g in group {
-            for d in self.fwd.get(&g).cloned().unwrap_or_default() {
-                touched.push((g, d, self.count(g, d)));
+            if g == l {
+                continue;
             }
-            for s in self.bwd.get(&g).cloned().unwrap_or_default() {
-                if !group.contains(&s) {
-                    touched.push((s, g, self.count(s, g)));
+            for &d in self.fwd.get(&g).into_iter().flatten() {
+                moved.push((g, d, self.count(g, d)));
+            }
+            // Sources inside the group other than `l` move with their own
+            // forward edges above.
+            for &s in self.bwd.get(&g).into_iter().flatten() {
+                if s == l || !group.contains(&s) {
+                    moved.push((s, g, self.count(s, g)));
                 }
             }
         }
-        for &(s, d, _) in &touched {
+        for &(s, d, _) in &moved {
             self.set(s, d, 0);
         }
-        for (s, d, c) in touched {
+        for (s, d, c) in moved {
             let s = if group.contains(&s) { l } else { s };
             let d = if group.contains(&d) { l } else { d };
             if s != d {
@@ -512,22 +578,27 @@ enum LabelPatch {
     ByNode(HashMap<NodeId, NodeId>),
 }
 
+/// How the size table changes when components merge or split.
+struct SizePatch {
+    /// Number of components afterwards.
+    n_sccs: u64,
+    /// `rep → size` for every entry that changes; 0 for a representative
+    /// whose component was absorbed or split away.
+    entries: BTreeMap<NodeId, u64>,
+}
+
 /// A fully classified, not-yet-written update: everything `materialize`
 /// needs besides the live DAG and dirty set, which already hold the new
-/// state under the open transaction.
+/// state under the open transaction. The DAG records to write are that
+/// transaction's write set ([`DagAdj::changes`]) unless `rewrite_dag`.
 struct Plan {
     /// Journal operations of the batch, `JOURNAL_ENTRY` bytes each.
     journal: Vec<u8>,
     label_patch: LabelPatch,
-    /// Full new size table (sorted by rep) when components changed.
-    sizes: Option<Vec<(NodeId, u64)>>,
-    /// Rewrite the whole DAG section from the live `DagAdj`.
+    sizes: Option<SizePatch>,
+    /// Rewrite the whole DAG section from the live `DagAdj`, reclaiming
+    /// every tombstoned slot.
     rewrite_dag: bool,
-    /// In-place record patches `(key, final count)` — only when not
-    /// rewriting; `0` leaves a tombstone.
-    patches: Vec<((NodeId, NodeId), u32)>,
-    /// New records appended at the tail — only when not rewriting.
-    appends: Vec<CountedEdge>,
     /// Dirty-set content changed (the section may still move with the DAG).
     dirty_changed: bool,
 }
@@ -539,8 +610,6 @@ impl Plan {
             label_patch: LabelPatch::None,
             sizes: None,
             rewrite_dag: false,
-            patches: Vec::new(),
-            appends: Vec::new(),
             dirty_changed: false,
         }
     }
@@ -695,7 +764,7 @@ impl<'a> DeltaEngine<'a> {
         }
         let base_len = file.len_bytes()?;
 
-        let mut dag = DagAdj::default();
+        let mut dag = DagAdj::new(hdr.n_nodes);
         let mut dag_pos = HashMap::new();
         let mut dirty = DirtySet::default();
         {
@@ -847,7 +916,22 @@ impl<'a> DeltaEngine<'a> {
     }
 
     fn apply_txn(&mut self, batch: &DeltaBatch) -> io::Result<DeltaReport> {
-        // ---- Classification, on the live state. ----
+        let (plan, mut report) = self.classify(batch)?;
+        let sp = ce_extmem::io_span!(
+            self.env,
+            "delta_merge",
+            merges = report.merges,
+            journal = plan.journal.len() / JOURNAL_ENTRY as usize,
+        );
+        report.label_pages_rewritten = self.materialize(plan)?;
+        drop(sp);
+        Ok(report)
+    }
+
+    /// Classifies every operation of `batch` against the live state (span
+    /// `delta_classify`), applying its DAG and dirty-set changes under the
+    /// open transaction, and returns the write plan of the new generation.
+    fn classify(&mut self, batch: &DeltaBatch) -> io::Result<(Plan, DeltaReport)> {
         let sp = ce_extmem::io_span!(
             self.env,
             "delta_classify",
@@ -857,12 +941,11 @@ impl<'a> DeltaEngine<'a> {
         let mut uf = UnionFind::default();
         let mut plan = Plan::new();
         let mut report = DeltaReport::default();
-        let mut merged_groups: Vec<Vec<NodeId>> = Vec::new();
-        // Keys whose stored record must change, split by whether a slot
-        // already exists on disk (tombstones reuse their slot).
-        let mut touched: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
-        let mut new_keys: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut new_seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+        // Size entries changed by this batch's merges.
+        let mut sizes = SizePatch {
+            n_sccs: self.hdr.n_sccs,
+            entries: BTreeMap::new(),
+        };
 
         for &(u, v) in &batch.edges_added {
             let ru = uf.find(lookup_rep(&mut self.file, &self.hdr, u)?);
@@ -872,16 +955,12 @@ impl<'a> DeltaEngine<'a> {
                 report.intra_added += 1;
                 continue;
             }
-            let key = (ru, rv);
             if self.dag.count(ru, rv) > 0 {
                 self.dag.add(ru, rv, 1);
                 report.dag_reinforced += 1;
             } else if self.dag.reaches(rv, ru) {
                 // Cycle: merge every component on some rv ⇝ ru path.
-                let cone = self.dag.backward_cone(ru);
-                let affected = self.dag.forward_within(rv, &cone);
-                let mut ids: Vec<NodeId> = affected.iter().copied().collect();
-                ids.sort_unstable();
+                let ids = self.dag.between(rv, ru);
                 let pos: HashMap<NodeId, u32> = ids
                     .iter()
                     .enumerate()
@@ -890,9 +969,9 @@ impl<'a> DeltaEngine<'a> {
                 let mut edges: Vec<Edge> = Vec::new();
                 for &a in &ids {
                     if let Some(nbrs) = self.dag.fwd.get(&a) {
-                        for &b in nbrs {
-                            if affected.contains(&b) {
-                                edges.push(Edge::new(pos[&a], pos[&b]));
+                        for b in nbrs {
+                            if let Some(&pb) = pos.get(b) {
+                                edges.push(Edge::new(pos[&a], pb));
                             }
                         }
                     }
@@ -913,10 +992,19 @@ impl<'a> DeltaEngine<'a> {
                     let l = *members.iter().min().unwrap();
                     let was_dirty = members.iter().any(|m| self.dirty.contains(m));
                     let set: HashSet<NodeId> = members.iter().copied().collect();
+                    let mut total = 0u64;
                     for &m in &members {
+                        // A member merged earlier in this batch already
+                        // carries its merged size.
+                        let stored = read_size(&mut self.file, &self.hdr, m)?;
+                        report.merged_nodes += stored;
+                        total += sizes.entries.get(&m).copied().unwrap_or(stored);
+                        sizes.entries.insert(m, 0);
                         uf.merge_into(m, l);
                         self.dirty.remove(&m);
                     }
+                    sizes.entries.insert(l, total);
+                    sizes.n_sccs -= members.len() as u64 - 1;
                     if was_dirty {
                         // A coarse constituent keeps the merged component
                         // conservative: it stays dirty.
@@ -925,18 +1013,12 @@ impl<'a> DeltaEngine<'a> {
                     self.dag.remap(&set, l);
                     report.merges += 1;
                     report.merged_components += members.len() as u64;
-                    merged_groups.push(members);
                 }
                 continue; // the new edge became intra-component
             } else {
                 // No rv ⇝ ru path: the insert respects the DAG order.
                 self.dag.add(ru, rv, 1);
                 report.dag_appended += 1;
-            }
-            if self.dag_pos.contains_key(&key) {
-                touched.insert(key);
-            } else if new_seen.insert(key) {
-                new_keys.push(key);
             }
         }
 
@@ -967,61 +1049,18 @@ impl<'a> DeltaEngine<'a> {
                 } else {
                     report.dag_weakened += 1;
                 }
-                let key = (ru, rv);
-                if self.dag_pos.contains_key(&key) {
-                    touched.insert(key);
-                } else if new_seen.insert(key) {
-                    new_keys.push(key);
-                }
             }
         }
         drop(sp);
 
-        // ---- Turn classification into a write plan. ----
         plan.dirty_changed = self.dirty.changed();
-        if merged_groups.is_empty() {
-            plan.patches = touched
-                .iter()
-                .map(|&k| (k, self.dag.count(k.0, k.1)))
-                .collect();
-            plan.appends = new_keys
-                .iter()
-                .filter_map(|&(s, d)| {
-                    let c = self.dag.count(s, d);
-                    (c > 0).then_some(CountedEdge::new(s, d, c))
-                })
-                .collect();
-        } else {
-            // A merge rewrites the size table (components disappear) and
-            // therefore the sections behind it; the plan folds the current
-            // table through the final merge mapping.
-            plan.rewrite_dag = true;
-            let relabel = uf.relabel_map();
-            let table = self.read_size_table()?;
-            let by_rep: HashMap<NodeId, u64> = table.iter().copied().collect();
-            for group in &merged_groups {
-                for &r in group {
-                    report.merged_nodes += by_rep.get(&r).copied().unwrap_or(0);
-                }
-            }
-            let mut folded: BTreeMap<NodeId, u64> = BTreeMap::new();
-            for (rep, size) in table {
-                *folded.entry(*relabel.get(&rep).unwrap_or(&rep)).or_insert(0) += size;
-            }
-            plan.sizes = Some(folded.into_iter().collect());
-            plan.label_patch = LabelPatch::ByRep(relabel);
+        if report.merges > 0 {
+            // Merges relabel the absorbed components' nodes and patch the
+            // size entries of the components they changed.
+            plan.label_patch = LabelPatch::ByRep(uf.relabel_map());
+            plan.sizes = Some(sizes);
         }
-
-        // ---- Commit the new generation. ----
-        let sp = ce_extmem::io_span!(
-            self.env,
-            "delta_merge",
-            merges = report.merges,
-            journal = plan.journal.len() / JOURNAL_ENTRY as usize,
-        );
-        report.label_pages_rewritten = self.materialize(plan)?;
-        drop(sp);
-        Ok(report)
+        Ok((plan, report))
     }
 
     /// The component representative for `u` against the **current** graph:
@@ -1057,20 +1096,14 @@ impl<'a> DeltaEngine<'a> {
     pub fn compact(&mut self) -> io::Result<CompactReport> {
         let before = self.env.stats().snapshot();
         let dirty = self.dirty_components();
-        let tombstones = self.dag_pos.len() as u64 - self.dag.counts.len() as u64;
         let mut report = self.reverify(&dirty)?;
-        if !dirty.is_empty() {
-            // The re-verification rewrote the whole DAG section from the
-            // live adjacency, taking every tombstone with it.
-            report.dag_slots_reclaimed = tombstones;
-            return Ok(report);
-        }
+        // Re-verification reclaims the tombstones it would leave; those of
+        // cross-component deletions and merges wait for this rewrite, which
+        // makes the stored record count match the live condensation again.
+        let tombstones = self.tombstones();
         if tombstones == 0 {
             return Ok(report);
         }
-        // Nothing dirty, but cross-component deletions left tombstoned
-        // slots behind: rewrite the DAG section compactly so the stored
-        // record count matches the live condensation again.
         let sp = ce_extmem::io_span!(self.env, "delta_compact", components = 0usize);
         let plan = Plan {
             rewrite_dag: true,
@@ -1079,9 +1112,22 @@ impl<'a> DeltaEngine<'a> {
         self.transact(|e| e.materialize(plan))?;
         drop(sp);
         report.generation = self.hdr.generation;
-        report.dag_slots_reclaimed = tombstones;
+        report.dag_slots_reclaimed += tombstones;
         report.ios = self.env.stats().snapshot().since(&before);
         Ok(report)
+    }
+
+    /// Tombstoned DAG slots the section holds once the open transaction's
+    /// write set is patched in (every live key owns a slot; a changed key
+    /// without one is appended).
+    fn tombstones(&self) -> u64 {
+        let appended = self
+            .dag
+            .changes()
+            .into_iter()
+            .filter(|(k, _)| !self.dag_pos.contains_key(k))
+            .count();
+        (self.dag_pos.len() + appended - self.dag.counts.len()) as u64
     }
 
     /// The full exact label vector (re-verifies everything dirty first) —
@@ -1186,14 +1232,12 @@ impl<'a> DeltaEngine<'a> {
             }
         }
 
-        // New size table: target entries out, the re-verified ones in.
-        let mut table: Vec<(NodeId, u64)> = self
-            .read_size_table()?
-            .into_iter()
-            .filter(|(rep, _)| !targets.contains(rep))
-            .collect();
-        table.extend(new_comps.iter().copied());
-        table.sort_unstable();
+        // Size entries: the targets' out, the re-verified components' in.
+        let mut sizes = SizePatch {
+            n_sccs: self.hdr.n_sccs - targets.len() as u64 + new_comps.len() as u64,
+            entries: targets.iter().map(|&r| (r, 0)).collect(),
+        };
+        sizes.entries.extend(new_comps.iter().copied());
 
         // New DAG: drop everything touching the targets, recompute from the
         // incident multiset (memoizing outside components' labels).
@@ -1229,18 +1273,23 @@ impl<'a> DeltaEngine<'a> {
             .filter(|(n, l)| old_label.get(n) != Some(l))
             .map(|(&n, &l)| (n, l))
             .collect();
+        // The DAG changes are patched in unless they would leave tombstoned
+        // slots behind: then the section is rewritten instead, reclaiming
+        // them — re-verification scans the whole base edge file anyway, so
+        // the rewrite does not change its cost's order.
+        let reclaimed = self.tombstones();
         let report = CompactReport {
             generation: 0,
             components_reverified: targets.len() as u64,
             components_after: groups.len() as u64,
             relabeled_nodes: changed.len() as u64,
-            dag_slots_reclaimed: 0,
+            dag_slots_reclaimed: reclaimed,
             ios: IoSnapshot::default(),
         };
         let plan = Plan {
             label_patch: LabelPatch::ByNode(changed),
-            sizes: Some(table),
-            rewrite_dag: true,
+            sizes: Some(sizes),
+            rewrite_dag: reclaimed > 0,
             dirty_changed: true,
             ..Plan::new()
         };
@@ -1272,31 +1321,6 @@ impl<'a> DeltaEngine<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Reads the whole size table with sequential page-sized reads.
-    fn read_size_table(&mut self) -> io::Result<Vec<(NodeId, u64)>> {
-        let mut out = Vec::with_capacity(self.hdr.n_sccs as usize);
-        let mut chunk = vec![0u8; self.hdr.page_size as usize];
-        let mut at = 0u64;
-        while at < self.hdr.n_sccs {
-            let take = (self.hdr.n_sccs - at).min(chunk.len() as u64 / SIZE_ENTRY);
-            let bytes = (take * SIZE_ENTRY) as usize;
-            if self.file.read_at(self.hdr.sizes_off + at * SIZE_ENTRY, &mut chunk[..bytes])?
-                != bytes
-            {
-                return Err(bad("size table truncated"));
-            }
-            for i in 0..take as usize {
-                let raw = &chunk[i * SIZE_ENTRY as usize..(i + 1) * SIZE_ENTRY as usize];
-                out.push((
-                    NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                    u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-                ));
-            }
-            at += take;
-        }
-        Ok(out)
     }
 
     /// Commits a plan as generation `g + 1` — as one log record when the
@@ -1359,30 +1383,34 @@ impl<'a> DeltaEngine<'a> {
             }
         }
 
-        // Size table (full rewrite when present).
-        let (n_sccs, sizes_fnv) = match &plan.sizes {
-            Some(entries) => {
-                let mut fnv = Fnv::new();
-                let mut out: Vec<u8> = Vec::with_capacity(entries.len() * SIZE_ENTRY as usize);
-                for &(rep, size) in entries {
-                    let mut rec = [0u8; SIZE_ENTRY as usize];
-                    rec[0..4].copy_from_slice(&rep.to_le_bytes());
-                    rec[8..16].copy_from_slice(&size.to_le_bytes());
-                    fnv.update(&rec);
-                    out.extend_from_slice(&rec);
-                }
-                stage_padded(&mut pages, hdr.sizes_off, page, &out, None);
-                (entries.len() as u64, fnv.finish())
+        // Size table: patch the pages holding the entries that change.
+        let (n_sccs, sizes_xor) = match &plan.sizes {
+            Some(patch) => {
+                let writes: Vec<(u64, [u8; SIZE_ENTRY as usize])> = patch
+                    .entries
+                    .iter()
+                    .map(|(&rep, &size)| (SIZE_ENTRY * rep as u64, size.to_le_bytes()))
+                    .collect();
+                let mut xor = hdr.sizes_xor;
+                patch_pages(
+                    &mut io,
+                    &mut pages,
+                    hdr.sizes_off,
+                    page,
+                    hdr.size_pages(),
+                    &mut xor,
+                    &writes,
+                    "size table",
+                )?;
+                (patch.n_sccs, xor)
             }
-            None => (hdr.n_sccs, hdr.sizes_fnv),
+            None => (hdr.n_sccs, hdr.sizes_xor),
         };
 
-        // DAG section.
-        let dag_off = if plan.sizes.is_some() {
-            align_up(hdr.sizes_off + SIZE_ENTRY * n_sccs, page)
-        } else {
-            hdr.dag_off
-        };
+        // DAG section: the transaction's write set, patched in place
+        // (reinforced, weakened or tombstoned records keep their slot) or
+        // appended at the tail, with O(1) per-page checksum updates; or a
+        // compact rewrite of the live edges.
         let (n_dag, dag_xor, pos) = if plan.rewrite_dag {
             let recs = self.dag.live_sorted();
             let mut out: Vec<u8> = Vec::with_capacity(recs.len() * DAG_ENTRY as usize);
@@ -1392,44 +1420,44 @@ impl<'a> DeltaEngine<'a> {
                 pos.insert((e.src, e.dst), i as u64);
             }
             let mut xor = 0u64;
-            stage_padded(&mut pages, dag_off, page, &out, Some(&mut xor));
+            stage_padded(&mut pages, hdr.dag_off, page, &out, Some(&mut xor));
             (recs.len() as u64, xor, DagPosUpdate::Replace(pos))
-        } else if plan.patches.is_empty() && plan.appends.is_empty() {
-            (hdr.n_dag_edges, hdr.dag_xor, DagPosUpdate::Keep)
         } else {
-            // In-place patches + tail appends with O(1) per-page checksum
-            // updates.
             let mut writes: Vec<(u64, [u8; DAG_ENTRY as usize])> = Vec::new();
-            for &((s, d), c) in &plan.patches {
-                let slot = *self.dag_pos.get(&(s, d)).expect("patched key has a slot");
+            let mut appended: Vec<((NodeId, NodeId), u64)> = Vec::new();
+            for ((s, d), c) in self.dag.changes() {
+                let slot = match self.dag_pos.get(&(s, d)) {
+                    Some(&slot) => slot,
+                    None => {
+                        // Stored count 0 without a slot, so now live.
+                        let slot = hdr.n_dag_edges + appended.len() as u64;
+                        appended.push(((s, d), slot));
+                        slot
+                    }
+                };
                 writes.push((slot * DAG_ENTRY, dag_record(s, d, c)));
-            }
-            let mut appended_pos: Vec<((NodeId, NodeId), u64)> = Vec::new();
-            for (i, e) in plan.appends.iter().enumerate() {
-                let slot = hdr.n_dag_edges + i as u64;
-                writes.push((slot * DAG_ENTRY, dag_record(e.src, e.dst, e.count)));
-                appended_pos.push(((e.src, e.dst), slot));
             }
             let mut xor = hdr.dag_xor;
             patch_pages(
                 &mut io,
                 &mut pages,
-                dag_off,
+                hdr.dag_off,
                 page,
                 hdr.dag_pages(),
                 &mut xor,
                 &writes,
+                "dag section",
             )?;
             (
-                hdr.n_dag_edges + plan.appends.len() as u64,
+                hdr.n_dag_edges + appended.len() as u64,
                 xor,
-                DagPosUpdate::Append(appended_pos),
+                DagPosUpdate::Append(appended),
             )
         };
 
         // Dirty section: rewritten when its content changed or the DAG
-        // moved/grew under it.
-        let dirty_off = align_up(dag_off + DAG_ENTRY * n_dag, page);
+        // grew or shrank under it.
+        let dirty_off = align_up(hdr.dag_off + DAG_ENTRY * n_dag, page);
         let (n_dirty, dirty_fnv) = if plan.dirty_changed || dirty_off != hdr.dirty_off {
             let mut fnv = Fnv::new();
             let mut out: Vec<u8> = Vec::with_capacity(self.dirty.set.len() * DIRTY_ENTRY as usize);
@@ -1445,10 +1473,9 @@ impl<'a> DeltaEngine<'a> {
 
         let hdr = Header {
             n_sccs,
-            dag_off,
             n_dag_edges: n_dag,
             labels_xor,
-            sizes_fnv,
+            sizes_xor,
             dag_xor,
             dirty_off,
             n_dirty,
@@ -1473,7 +1500,6 @@ impl<'a> DeltaEngine<'a> {
     /// Installs a committed generation's DAG slot changes.
     fn install_pos(&mut self, pos: DagPosUpdate) {
         match pos {
-            DagPosUpdate::Keep => {}
             DagPosUpdate::Replace(pos) => self.dag_pos = pos,
             DagPosUpdate::Append(slots) => self.dag_pos.extend(slots),
         }
@@ -1608,7 +1634,6 @@ impl<'a> DeltaEngine<'a> {
 
 /// How `dag_pos` changes when a materialization commits.
 enum DagPosUpdate {
-    Keep,
     Replace(HashMap<(NodeId, NodeId), u64>),
     Append(Vec<((NodeId, NodeId), u64)>),
 }
@@ -1656,14 +1681,16 @@ fn stage_padded(
 /// section: reads each affected page once, XORs its old hash out (if the
 /// page existed), applies the overlapping slices, stages it, and XORs the
 /// new hash in. Fresh pages beyond `old_pages` start as zeros.
-fn patch_pages(
+#[allow(clippy::too_many_arguments)]
+fn patch_pages<const N: usize>(
     io: &mut dyn IndexIo,
     pages: &mut BTreeMap<u64, Vec<u8>>,
     sec_off: u64,
     page: u64,
     old_pages: u64,
     xor: &mut u64,
-    writes: &[(u64, [u8; DAG_ENTRY as usize])],
+    writes: &[(u64, [u8; N])],
+    what: &str,
 ) -> io::Result<()> {
     let mut by_page: BTreeMap<u64, Vec<(usize, &[u8])>> = BTreeMap::new();
     for (off, bytes) in writes {
@@ -1681,7 +1708,7 @@ fn patch_pages(
     for (p, slices) in by_page {
         let mut buf = vec![0u8; page as usize];
         if p < old_pages {
-            read_exact_at(io, sec_off + p * page, &mut buf, "dag section")?;
+            read_exact_at(io, sec_off + p * page, &mut buf, what)?;
             *xor ^= page_hash(p, &buf);
         }
         for (at, bytes) in slices {
@@ -1730,6 +1757,112 @@ mod tests {
     fn scratch(n: u64, edges: &[(u32, u32)]) -> Vec<NodeId> {
         let es: Vec<Edge> = edges.iter().map(|&(u, v)| Edge::new(u, v)).collect();
         tarjan_scc(&CsrGraph::from_edges(n, &es)).canonical_reps()
+    }
+
+    /// Counted condensation of `edges` over `n` nodes, from scratch.
+    fn scratch_condensation(n: u64, edges: &[(u32, u32)]) -> Vec<CountedEdge> {
+        let reps = scratch(n, edges);
+        let mut acc: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
+        for &(u, v) in edges {
+            let (a, b) = (reps[u as usize], reps[v as usize]);
+            if a != b {
+                *acc.entry((a, b)).or_insert(0) += 1;
+            }
+        }
+        acc.into_iter()
+            .map(|((s, d), c)| CountedEdge::new(s, d, c))
+            .collect()
+    }
+
+    /// Pages a dry run of `batch` would write, by section — `(labels,
+    /// sizes, dag)` — staged inside a transaction that is then rolled back.
+    fn staged_pages(eng: &mut DeltaEngine<'_>, batch: &DeltaBatch) -> (u64, u64, u64) {
+        let hdr = eng.hdr;
+        let mut pages = (0, 0, 0);
+        let dry = eng.transact(|e| {
+            let (plan, _) = e.classify(batch)?;
+            let staged = e.stage(&plan)?;
+            for &off in staged.pages.keys() {
+                if off < hdr.sizes_off {
+                    pages.0 += 1;
+                } else if off < hdr.dag_off {
+                    pages.1 += 1;
+                } else if off < staged.hdr.dirty_off {
+                    pages.2 += 1;
+                }
+            }
+            Err::<(), _>(io::Error::other("dry run"))
+        });
+        assert!(dry.is_err());
+        pages
+    }
+
+    #[test]
+    fn merge_writes_do_not_scale_with_the_hub() {
+        let mut costs = Vec::new();
+        for k in [50u32, 5000] {
+            let e = env();
+            // Hub {0,1} with k singleton successors 2..k+2, and a
+            // singleton s fed by the hub and feeding the first successor.
+            let s = k + 2;
+            let n = s as u64 + 1;
+            let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 0), (1, s), (s, 2)];
+            edges.extend((2..s).map(|leaf| (0, leaf)));
+            let (g, path) = setup(&e, &format!("hub{k}"), n, &edges);
+            let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+            let stored_dag_pages = eng.hdr.dag_pages();
+            // s -> 0 closes hub -> s -> hub: s is absorbed into rep 0.
+            let batch = DeltaBatch::new().add(s, 0);
+            let (labels, sizes, dag) = staged_pages(&mut eng, &batch);
+            let rep = eng.apply(&batch).unwrap();
+            assert_eq!(rep.merges, 1);
+            assert_eq!(rep.merged_nodes, 3);
+            assert_eq!(rep.label_pages_rewritten, 1, "k = {k}");
+            assert_eq!(labels, 1, "k = {k}");
+            assert!(sizes <= 2, "k = {k}: {sizes} size pages");
+            assert!(dag < stored_dag_pages, "k = {k}: {dag} of {stored_dag_pages}");
+            edges.push((s, 0));
+            let want = scratch_condensation(n, &edges);
+            assert_eq!(eng.condensation_edges(), want, "k = {k}");
+            assert_eq!(eng.component_size(s).unwrap(), 3);
+            drop(eng);
+            let mut idx = SccIndex::open(&e, &path).unwrap();
+            let mut stored: Vec<Edge> = idx.condensation_edges().map(|r| r.unwrap()).collect();
+            stored.sort_unstable();
+            let want: Vec<Edge> = want.iter().map(|c| Edge::new(c.src, c.dst)).collect();
+            assert_eq!(stored, want, "k = {k}: stored condensation");
+            costs.push((dag, rep.ios.seq_writes + rep.ios.rand_writes));
+        }
+        assert_eq!(
+            costs[0], costs[1],
+            "(DAG pages, logical writes) of a merge must not grow with the hub's degree"
+        );
+    }
+
+    #[test]
+    fn absorbing_a_hub_moves_its_edges_exactly() {
+        for k in [50u32, 5000] {
+            let e = env();
+            // Singleton 0 feeds hub {k+1, k+2}, whose rep k+1 is larger;
+            // the hub has k singleton successors 1..=k.
+            let (h0, h1) = (k + 1, k + 2);
+            let n = h1 as u64 + 1;
+            let mut edges: Vec<(u32, u32)> = vec![(h0, h1), (h1, h0), (0, h0), (h1, 1)];
+            edges.extend((1..=k).map(|leaf| (h0, leaf)));
+            let (g, path) = setup(&e, &format!("absorb{k}"), n, &edges);
+            let mut eng = DeltaEngine::open(&e, &g, &path).unwrap();
+            // h0 -> 0 closes 0 -> hub -> 0: the hub is absorbed into rep 0.
+            let rep = eng.apply(&DeltaBatch::new().add(h0, 0)).unwrap();
+            assert_eq!(rep.merges, 1);
+            edges.push((h0, 0));
+            assert_eq!(eng.labels_snapshot().unwrap(), scratch(n, &edges), "k = {k}");
+            assert_eq!(eng.condensation_edges(), scratch_condensation(n, &edges), "k = {k}");
+            assert_eq!(eng.component_size(h1).unwrap(), 3);
+            drop(eng);
+            let mut idx = SccIndex::open(&e, &path).unwrap();
+            assert_eq!(idx.component_of(h1).unwrap(), 0);
+            assert_eq!(idx.components().filter(|c| c.as_ref().unwrap().1 == 3).count(), 1);
+        }
     }
 
     #[test]

@@ -325,7 +325,7 @@ fn follows(cur: &Header, rec: &Record<'_>, at: usize) -> bool {
             cur.sizes_off,
             cur.dag_off,
         )
-        && (h.labels_xor, h.sizes_fnv) == (cur.labels_xor, cur.sizes_fnv)
+        && (h.labels_xor, h.sizes_xor) == (cur.labels_xor, cur.sizes_xor)
         && cur.n_journal.checked_add(n_ops) == Some(h.n_journal)
         && h.journal_fnv == fnv.finish()
         && rec

@@ -5,8 +5,8 @@
 //! `u`'s component" — are cheap *if* the labeling is kept in a shape built
 //! for point queries. This module materializes exactly that: a versioned,
 //! checksummed on-disk artifact holding the node→representative mapping in
-//! block-aligned pages, a component-size table, and (optionally) the
-//! condensation DAG's edge list.
+//! block-aligned pages, a component-size table indexed by node id, and
+//! (optionally) the condensation DAG's edge list.
 //!
 //! Everything is written and read through the environment's pager
 //! ([`CountedFile`]), so index I/O is priced in the same **logical**
@@ -20,8 +20,9 @@
 //! bounded number of blocks — [`component_of`](SccIndex::component_of) one,
 //! [`same_component`](SccIndex::same_component) at most two (zero when
 //! `u == v`, one when both labels share a page),
-//! [`component_size`](SccIndex::component_size) `O(log n_sccs)`, and the
-//! batched [`component_of_many`](SccIndex::component_of_many) one read per
+//! [`component_size`](SccIndex::component_size) two (the label, then the
+//! representative's size entry), and the batched
+//! [`component_of_many`](SccIndex::component_of_many) one read per
 //! *distinct* label page in the batch.
 //!
 //! ## Concurrent reads
@@ -37,36 +38,47 @@
 //! path no matter how many readers run concurrently — both handles answer
 //! through the same query and validation code over one block-read seam.
 //!
-//! ## On-disk layout (version 2, all integers little-endian)
+//! ## On-disk layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! page 0         header: magic "CESI", version, page size, counts,
 //!                section offsets, generation, checksums, header checksum
 //! labels_off     rep[u]: u32 per node, node order, page-padded
-//! sizes_off      (rep: u32, pad: u32, size: u64) per component,
-//!                sorted by rep, page-padded
+//! sizes_off      size[u]: u64 per node, node order, page-padded — the size
+//!                of the component whose representative is `u`, 0 when `u`
+//!                represents no component
 //! dag_off        condensation edges (src: u32, dst: u32, count: u32),
 //!                page-padded (absent when dag_off == 0); `count` is the
 //!                number of base-graph edge instances crossing the
 //!                component pair. Builds write the records sorted by
-//!                (src, dst); delta generations may append past the sorted
-//!                prefix and leave `count == 0` tombstones, both folded
-//!                back into sorted form by the next merge or compact
+//!                (src, dst); delta generations patch records in place
+//!                (a record whose count drops to 0 stays as a tombstone,
+//!                reused if its edge comes back) and append new ones past
+//!                the last record; only a compact (or a re-verification
+//!                that would leave tombstones) rewrites the section into
+//!                sorted form
 //! dirty_off      dirty component representatives (u32, ascending),
 //!                page-padded — components whose partition must be
 //!                re-verified by the delta engine before it is exact
 //! ```
 //!
 //! The page size is the building environment's block size, so sections are
-//! block-aligned for the device that wrote them.
+//! block-aligned for the device that wrote them. Both the labels and the
+//! size table have one fixed-width entry per node, so their lengths — and
+//! with them `dag_off` — never change over the artifact's life.
 //!
-//! ## Generations and the version-2 format bump
+//! ## Generations and the format versions
 //!
 //! Version 1 was write-once: one monolithic payload checksum over every
 //! byte of the file, recomputable only by streaming the whole artifact.
-//! Version 2 exists because the delta engine ([`crate::delta`]) adds a
-//! *write-after-build* path, and three format properties make localized
-//! updates possible:
+//! Version 2 added the *write-after-build* path of the delta engine
+//! ([`crate::delta`]). Version 3 replaced its size table — `(rep, size)`
+//! records sorted by representative, rewritten whole whenever components
+//! merged or split — with the node-indexed one above, so a merge patches
+//! only the size entries of the components it changes and `component_size`
+//! is two point reads instead of a binary search. Artifacts of either
+//! earlier version are rejected at open with a "rebuild" error. The format
+//! properties that make localized updates possible:
 //!
 //! * **Generation counter** (header word 13). Every successful
 //!   [`delta::DeltaEngine::apply`](crate::delta::DeltaEngine::apply) or
@@ -82,26 +94,22 @@
 //!   pages, bump the generation, atomically `rename(2)` over the old path)
 //!   and then rename a fresh log holding only the journal over the old
 //!   one. [`SccIndex::generation`] exposes the counter.
-//! * **Per-page checksums for the patched sections.** The labels section
-//!   is covered by `labels_xor`: the XOR over label pages of
-//!   `FNV-1a(page_index ‖ page bytes)`. Patching one label page updates
-//!   the checksum in `O(1)` (XOR the old page's hash out, the new page's
-//!   hash in) instead of re-streaming `O(n)` bytes — this is what lets a
-//!   component merge rewrite *only* the pages owning affected nodes. The
-//!   DAG section uses the same scheme (`dag_xor`), because the delta
-//!   engine both patches records in place (reinforcing or weakening a
-//!   `count`, tombstoning at zero) and appends new records at the tail —
-//!   either touches one or two pages and costs an `O(1)` checksum update,
-//!   which is what keeps a metadata-only edge insert at `O(1)` page
-//!   writes. Open-time validation hashes these pages four at a time, as
-//!   four independent FNV-1a chains, with digests identical to the serial
-//!   hash.
-//! * **Per-section record checksums for the rewritten sections.** The size
-//!   table and dirty section are never patched in place — they are small
-//!   and rewritten wholesale when they change — so each carries a plain
-//!   running FNV-1a over *record* bytes (`sizes_fnv`, `dirty_fnv`). Their
-//!   page padding is excluded (it can never influence an answer); the
-//!   labels and DAG sections cover padding because they hash whole pages.
+//! * **Per-page checksums for the labels, sizes and DAG sections.** Each is
+//!   covered by the XOR over its pages of `FNV-1a(page_index ‖ page
+//!   bytes)` (`labels_xor`, `sizes_xor`, `dag_xor`; whole pages, padding
+//!   included). Patching one page updates the checksum in `O(1)` (XOR the
+//!   old page's hash out, the new page's hash in) instead of re-streaming
+//!   the section — this is what lets a component merge rewrite *only* the
+//!   label pages owning affected nodes and the size pages of the
+//!   representatives it changes, and what keeps a metadata-only edge
+//!   insert, which reinforces, weakens or appends one DAG record, at `O(1)`
+//!   page writes. Open-time validation hashes these pages four at a time,
+//!   as four independent FNV-1a chains, with digests identical to the
+//!   serial hash.
+//! * **A record checksum for the dirty section.** It is small and
+//!   rewritten whole when it changes, so it carries a plain running FNV-1a
+//!   over *record* bytes (`dirty_fnv`); its page padding is excluded (it
+//!   can never influence an answer).
 //!
 //! The header additionally records the count and running checksum of the
 //! **journal** (`n_journal`, `journal_fnv`): every delta operation since
@@ -128,9 +136,10 @@
 //! iterators look at the overlay. The log is read raw, outside the logical
 //! I/O pricing, so owned and shared opens still price identically.
 //!
-//! A flipped byte in the header, a label page, or any record of the sizes /
-//! DAG / dirty sections is rejected at [`SccIndex::open`] with a checksum
-//! or geometry error instead of producing garbage.
+//! A flipped byte in the header, any page of the labels / sizes / DAG
+//! sections, or any record of the dirty section is rejected at
+//! [`SccIndex::open`] with a checksum or geometry error instead of
+//! producing garbage.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -144,13 +153,13 @@ use crate::types::{CountedEdge, Edge, NodeId, SccLabel};
 
 /// Magic bytes of the index format.
 const MAGIC: &[u8; 4] = b"CESI";
-/// Current format version (2: generations + delta maintenance; see the
-/// module docs for what changed relative to version 1).
-const VERSION: u32 = 2;
+/// Current format version (3: the node-indexed size table; see the module
+/// docs for what changed relative to versions 1 and 2).
+const VERSION: u32 = 3;
 /// Serialized header length in bytes (the rest of page 0 is zero padding).
 pub(crate) const HEADER_LEN: usize = 144;
-/// Bytes per entry of the component-size table.
-pub(crate) const SIZE_ENTRY: u64 = 16;
+/// Bytes per entry of the node-indexed component-size table.
+pub(crate) const SIZE_ENTRY: u64 = 8;
 /// Bytes per stored condensation edge (src, dst, count).
 pub(crate) const DAG_ENTRY: u64 = 12;
 /// Bytes per dirty-component entry (one representative id).
@@ -163,8 +172,9 @@ const MAX_NODES: u64 = (u32::MAX as u64) + 1;
 const MAX_DAG_EDGES: u64 = 1 << 40;
 
 /// FNV-1a 64-bit, the workspace's dependency-free checksum. The state *is*
-/// the digest (no finalization), which the v2 format exploits: a stored
-/// section checksum can be resumed to cover appended records.
+/// the digest (no finalization), which the format exploits: a stored
+/// running checksum (the journal's) can be resumed to cover appended
+/// records.
 #[derive(Clone, Copy)]
 pub(crate) struct Fnv(pub(crate) u64);
 
@@ -192,10 +202,11 @@ impl Fnv {
     }
 }
 
-/// Hash of one labels-section page: FNV-1a over the section-relative page
-/// index followed by the full page bytes (padding included). The labels
-/// checksum is the XOR of these over all label pages, so patching one page
-/// is an `O(1)` checksum update and pages cannot be swapped undetected.
+/// Hash of one page of a page-hashed section (labels, sizes, DAG): FNV-1a
+/// over the section-relative page index followed by the full page bytes
+/// (padding included). A section's checksum is the XOR of these over its
+/// pages, so patching one page is an `O(1)` checksum update and pages
+/// cannot be swapped undetected.
 pub(crate) fn page_hash(page_idx: u64, bytes: &[u8]) -> u64 {
     let mut fnv = Fnv::new();
     fnv.update(&page_idx.to_le_bytes());
@@ -251,7 +262,7 @@ pub(crate) struct Header {
     pub(crate) dag_off: u64,
     pub(crate) n_dag_edges: u64,
     pub(crate) labels_xor: u64,
-    pub(crate) sizes_fnv: u64,
+    pub(crate) sizes_xor: u64,
     pub(crate) dag_xor: u64,
     pub(crate) dirty_off: u64,
     pub(crate) n_dirty: u64,
@@ -275,7 +286,7 @@ impl Header {
             self.dag_off,
             self.n_dag_edges,
             self.labels_xor,
-            self.sizes_fnv,
+            self.sizes_xor,
             self.dag_xor,
             self.dirty_off,
             self.n_dirty,
@@ -322,7 +333,7 @@ impl Header {
             dag_off: word(5),
             n_dag_edges: word(6),
             labels_xor: word(7),
-            sizes_fnv: word(8),
+            sizes_xor: word(8),
             dag_xor: word(9),
             dirty_off: word(10),
             n_dirty: word(11),
@@ -349,6 +360,12 @@ impl Header {
         (self.sizes_off - self.labels_off) / self.page_size
     }
 
+    /// Number of pages in the size table.
+    pub(crate) fn size_pages(&self) -> u64 {
+        (align_up(self.sizes_off + SIZE_ENTRY * self.n_nodes, self.page_size) - self.sizes_off)
+            / self.page_size
+    }
+
     /// Number of pages in the DAG section (0 when absent).
     pub(crate) fn dag_pages(&self) -> u64 {
         if self.dag_off == 0 {
@@ -368,25 +385,21 @@ pub(crate) fn align_up(v: u64, page: u64) -> u64 {
 }
 
 /// What [`SectionWriter::finish`] hands back: the offset just past the
-/// padded section, the running FNV over record bytes, and the XOR of
-/// per-page hashes (padding included).
+/// padded section and the XOR of per-page hashes (padding included).
 struct SectionDigest {
     end: u64,
-    fnv: u64,
     xor: u64,
 }
 
 /// Section writer: buffers records into page-sized chunks, writes them
-/// sequentially through the [`CountedFile`], and maintains both v2 digests
-/// (record-byte FNV and per-page XOR; each section keeps whichever the
-/// format assigns to it).
+/// sequentially through the [`CountedFile`], and maintains the per-page
+/// XOR digest of the page-hashed sections.
 struct SectionWriter<'a> {
     file: &'a mut CountedFile,
     page: usize,
     start: u64,
     at: u64,
     buf: Vec<u8>,
-    fnv: Fnv,
     xor: u64,
 }
 
@@ -398,14 +411,12 @@ impl<'a> SectionWriter<'a> {
             start,
             at: start,
             buf: Vec::with_capacity(page),
-            fnv: Fnv::new(),
             xor: 0,
         }
     }
 
     fn push(&mut self, bytes: &[u8]) -> io::Result<()> {
         debug_assert!(bytes.len() <= self.page, "records never span two flushes");
-        self.fnv.update(bytes);
         self.buf.extend_from_slice(bytes);
         while self.buf.len() >= self.page {
             let page_idx = (self.at - self.start) / self.page as u64;
@@ -428,7 +439,6 @@ impl<'a> SectionWriter<'a> {
         }
         Ok(SectionDigest {
             end: self.at,
-            fnv: self.fnv.finish(),
             xor: self.xor,
         })
     }
@@ -559,8 +569,9 @@ pub(crate) fn read_exact_at(
 }
 
 /// Streams `bytes` record bytes from `start` in page-size chunks, folding
-/// them into an FNV — the open-time validation pass for record-checksummed
-/// sections (padding excluded; see the module docs).
+/// them into an FNV — the open-time validation pass for the
+/// record-checksummed dirty section (padding excluded; see the module
+/// docs).
 fn stream_fnv(
     io: &mut dyn IndexIo,
     start: u64,
@@ -582,7 +593,7 @@ fn stream_fnv(
 }
 
 /// XOR of [`page_hash`] over `n_pages` whole pages from `off` — the
-/// open-time pass for the page-hashed sections (labels, DAG). Pages are
+/// open-time pass for the page-hashed sections (labels, sizes, DAG). Pages are
 /// read one counted call each, as a page-by-page scan would, and hashed
 /// four at a time ([`page_hashes`]).
 fn section_xor(
@@ -640,7 +651,7 @@ fn check_geometry(hdr: &Header) -> io::Result<()> {
     {
         return Err(bad("implausible header geometry"));
     }
-    let sizes_end = hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs;
+    let sizes_end = hdr.sizes_off + SIZE_ENTRY * hdr.n_nodes;
     let dirty_expect = if hdr.dag_off != 0 {
         align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, page)
     } else {
@@ -689,7 +700,8 @@ fn validate(io: &mut dyn IndexIo, hdr: &Header) -> io::Result<()> {
             io.len_bytes()?
         )));
     }
-    // Labels: XOR of per-page hashes (whole pages, padding included).
+    // Page-hashed sections: XOR of per-page hashes (whole pages, padding
+    // included) — the delta engine patches them in place.
     if section_xor(
         io,
         hdr.labels_off,
@@ -700,20 +712,15 @@ fn validate(io: &mut dyn IndexIo, hdr: &Header) -> io::Result<()> {
     {
         return Err(bad("labels checksum mismatch"));
     }
-    // Record-checksummed sections.
-    if stream_fnv(io, hdr.sizes_off, SIZE_ENTRY * hdr.n_sccs, page, "size table")?
-        != hdr.sizes_fnv
-    {
+    if section_xor(io, hdr.sizes_off, hdr.size_pages(), page, "size table")? != hdr.sizes_xor {
         return Err(bad("size table checksum mismatch"));
     }
-    if hdr.dag_off != 0 {
-        // Like labels, the DAG section is validated per whole page (it is
-        // patched in place by the delta engine, so it carries the XOR
-        // scheme; padding included).
-        if section_xor(io, hdr.dag_off, hdr.dag_pages(), page, "dag section")? != hdr.dag_xor {
-            return Err(bad("dag section checksum mismatch"));
-        }
+    if hdr.dag_off != 0
+        && section_xor(io, hdr.dag_off, hdr.dag_pages(), page, "dag section")? != hdr.dag_xor
+    {
+        return Err(bad("dag section checksum mismatch"));
     }
+    // The record-checksummed dirty section.
     if stream_fnv(io, hdr.dirty_off, DIRTY_ENTRY * hdr.n_dirty, page, "dirty section")?
         != hdr.dirty_fnv
     {
@@ -794,30 +801,25 @@ pub(crate) fn lookup_many(
     Ok(out)
 }
 
-fn read_size_entry(io: &mut dyn IndexIo, hdr: &Header, i: u64) -> io::Result<(NodeId, u64)> {
+/// The stored size of the component represented by `rep` — one 8-byte
+/// read; 0 when `rep` represents no component.
+pub(crate) fn read_size(io: &mut dyn IndexIo, hdr: &Header, rep: NodeId) -> io::Result<u64> {
+    if rep as u64 >= hdr.n_nodes {
+        return Err(bad(&format!("representative {rep} outside the size table")));
+    }
     let mut buf = [0u8; SIZE_ENTRY as usize];
-    read_exact_at(io, hdr.sizes_off + SIZE_ENTRY * i, &mut buf, "size table")?;
-    Ok((
-        NodeId::from_le_bytes(buf[0..4].try_into().unwrap()),
-        u64::from_le_bytes(buf[8..16].try_into().unwrap()),
-    ))
+    read_exact_at(io, hdr.sizes_off + SIZE_ENTRY * rep as u64, &mut buf, "size table")?;
+    Ok(u64::from_le_bytes(buf))
 }
 
-/// `component_size`: one label read plus an `O(log n_sccs)` binary search
-/// over the on-disk size table.
+/// `component_size`: one label read plus one read of the representative's
+/// size entry.
 pub(crate) fn lookup_size(io: &mut dyn IndexIo, hdr: &Header, u: NodeId) -> io::Result<u64> {
     let rep = lookup_rep(io, hdr, u)?;
-    let (mut lo, mut hi) = (0u64, hdr.n_sccs);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let (r, size) = read_size_entry(io, hdr, mid)?;
-        match r.cmp(&rep) {
-            std::cmp::Ordering::Equal => return Ok(size),
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-        }
+    match read_size(io, hdr, rep)? {
+        0 => Err(bad(&format!("representative {rep} missing from the size table"))),
+        size => Ok(size),
     }
-    Err(bad(&format!("representative {rep} missing from the size table")))
 }
 
 /// Sniffs the page size of an artifact with one raw, **uncounted** header
@@ -886,7 +888,8 @@ impl SccIndex {
     /// the environment's backend, truncating any previous artifact (and any
     /// stale delta log next to it); all bytes flow through the
     /// environment's pager and logical I/O counters. One external sort of
-    /// the label file (by representative) derives the component-size table.
+    /// the label file (by representative) derives the component-size table;
+    /// a representative outside `0..n_nodes` is rejected.
     pub fn build(
         env: &DiskEnv,
         path: &Path,
@@ -921,26 +924,37 @@ impl SccIndex {
         let labels_digest = w.finish()?;
         let sizes_off = labels_digest.end;
 
-        // Section 2: (rep, size) per component, sorted by rep — the
-        // external sort of the labels streams its final merge straight into
-        // the run-length scan (no by-rep file is written).
+        // Section 2: size[u] per node, 0 unless `u` is a representative —
+        // the external sort of the labels by rep streams its final merge
+        // straight into a run-length scan that writes the table in node
+        // order (no by-rep file is written).
         let mut by_rep = sort_streaming_by_key(env, labels, "idx-by-rep", |l: &SccLabel| l.scc)?
             .into_stream()?;
         let mut w = SectionWriter::new(&mut file, page as usize, sizes_off);
         let mut n_sccs = 0u64;
-        let entry = |w: &mut SectionWriter<'_>, rep: NodeId, size: u64| -> io::Result<()> {
-            let mut e = [0u8; SIZE_ENTRY as usize];
-            e[0..4].copy_from_slice(&rep.to_le_bytes());
-            e[8..16].copy_from_slice(&size.to_le_bytes());
-            w.push(&e)
+        // Next node whose entry is unwritten.
+        let mut next = 0u64;
+        let mut entry = |w: &mut SectionWriter<'_>, rep: NodeId, size: u64| -> io::Result<()> {
+            for _ in next..rep as u64 {
+                w.push(&0u64.to_le_bytes())?;
+            }
+            w.push(&size.to_le_bytes())?;
+            next = rep as u64 + 1;
+            n_sccs += 1;
+            Ok(())
         };
         let mut current: Option<(NodeId, u64)> = None;
         while let Some(l) = by_rep.next()? {
+            if l.scc as u64 >= n_nodes {
+                return Err(bad(&format!(
+                    "label of node {} names representative {} outside 0..{n_nodes}",
+                    l.node, l.scc
+                )));
+            }
             match current {
                 Some((rep, size)) if rep == l.scc => current = Some((rep, size + 1)),
                 Some((rep, size)) => {
                     entry(&mut w, rep, size)?;
-                    n_sccs += 1;
                     current = Some((l.scc, 1));
                 }
                 None => current = Some((l.scc, 1)),
@@ -948,7 +962,9 @@ impl SccIndex {
         }
         if let Some((rep, size)) = current {
             entry(&mut w, rep, size)?;
-            n_sccs += 1;
+        }
+        for _ in next..n_nodes {
+            w.push(&0u64.to_le_bytes())?;
         }
         let sizes_digest = w.finish()?;
 
@@ -983,7 +999,7 @@ impl SccIndex {
             dag_off,
             n_dag_edges,
             labels_xor: labels_digest.xor,
-            sizes_fnv: sizes_digest.fnv,
+            sizes_xor: sizes_digest.xor,
             dag_xor,
             dirty_off,
             n_dirty: 0,
@@ -1120,25 +1136,18 @@ impl SccIndex {
         lookup_same(&mut self.file, &self.hdr, u, v)
     }
 
-    /// Size of `u`'s component — one block read plus an `O(log n_sccs)`
-    /// binary search over the on-disk size table.
+    /// Size of `u`'s component — two block reads: `u`'s label, then the
+    /// representative's entry in the node-indexed size table.
     pub fn component_size(&mut self, u: NodeId) -> io::Result<u64> {
         lookup_size(&mut self.file, &self.hdr, u)
     }
 
     /// Streams `(representative, size)` for every component, ascending by
-    /// representative — `O(n_sccs / B)` sequential block reads.
+    /// representative — one sequential scan of the size table,
+    /// `O(n_nodes / B)` block reads.
     pub fn components(&mut self) -> ComponentsIter<'_> {
         let hdr = self.hdr;
-        ComponentsIter {
-            cursor: SectionCursor::new(
-                Box::new(&mut self.file),
-                hdr.page_size,
-                hdr.sizes_off,
-                SIZE_ENTRY,
-                hdr.n_sccs,
-            ),
-        }
+        ComponentsIter::new(Box::new(&mut self.file), &hdr)
     }
 
     /// Streams the stored condensation DAG edges (component representatives
@@ -1299,8 +1308,8 @@ impl SccIndexReader {
         lookup_same(&mut SharedIo(&self.file), &self.hdr, u, v)
     }
 
-    /// Size of `u`'s component — one block read plus an `O(log n_sccs)`
-    /// binary search over the on-disk size table.
+    /// Size of `u`'s component — two block reads; see
+    /// [`SccIndex::component_size`].
     pub fn component_size(&self, u: NodeId) -> io::Result<u64> {
         lookup_size(&mut SharedIo(&self.file), &self.hdr, u)
     }
@@ -1308,15 +1317,7 @@ impl SccIndexReader {
     /// Streams `(representative, size)` for every component — same
     /// contract and logical I/O as [`SccIndex::components`].
     pub fn components(&self) -> ComponentsIter<'_> {
-        ComponentsIter {
-            cursor: SectionCursor::new(
-                Box::new(SharedIo(&self.file)),
-                self.hdr.page_size,
-                self.hdr.sizes_off,
-                SIZE_ENTRY,
-                self.hdr.n_sccs,
-            ),
-        }
+        ComponentsIter::new(Box::new(SharedIo(&self.file)), &self.hdr)
     }
 
     /// Streams the stored condensation DAG edges — same contract and
@@ -1403,29 +1404,42 @@ impl<'a> SectionCursor<'a> {
     }
 }
 
-/// Iterator over `(representative, component size)` pairs.
-/// See [`SccIndex::components`].
+/// Iterator over `(representative, component size)` pairs: the non-zero
+/// entries of the node-indexed size table. See [`SccIndex::components`].
 pub struct ComponentsIter<'a> {
     cursor: SectionCursor<'a>,
+}
+
+impl<'a> ComponentsIter<'a> {
+    fn new(io: Box<dyn IndexIo + 'a>, hdr: &Header) -> Self {
+        ComponentsIter {
+            cursor: SectionCursor::new(io, hdr.page_size, hdr.sizes_off, SIZE_ENTRY, hdr.n_nodes),
+        }
+    }
 }
 
 impl Iterator for ComponentsIter<'_> {
     type Item = io::Result<(NodeId, u64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.cursor.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(None) => None,
-            Ok(Some(raw)) => Some(Ok((
-                NodeId::from_le_bytes(raw[0..4].try_into().unwrap()),
-                u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-            ))),
+        loop {
+            let node = self.cursor.next as NodeId;
+            match self.cursor.next_record() {
+                Err(e) => return Some(Err(e)),
+                Ok(None) => return None,
+                Ok(Some(raw)) => match u64::from_le_bytes(raw.try_into().unwrap()) {
+                    0 => continue, // not a representative
+                    size => return Some(Ok((node, size))),
+                },
+            }
         }
     }
 }
 
 /// Iterator over stored condensation edges. Skips `count == 0` tombstones
-/// left by delta-engine deletions (cleaned up by the next merge/compact).
+/// left by delta-engine deletions and merges (a re-added edge reuses its
+/// own tombstone; only a compact, or a re-verification that would leave
+/// more, removes them).
 /// See [`SccIndex::condensation_edges`].
 pub struct DagEdgesIter<'a> {
     cursor: SectionCursor<'a>,
@@ -1730,14 +1744,14 @@ mod tests {
         SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
         let pristine = std::fs::read(&path).unwrap();
 
-        // Last byte of the final size-table record (not padding).
+        // Last byte of the final size-table entry (not padding).
         let hdr = {
             let mut raw = [0u8; HEADER_LEN];
             raw.copy_from_slice(&pristine[..HEADER_LEN]);
             Header::decode(&raw).unwrap()
         };
         let mut flipped = pristine.clone();
-        let at = (hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs - 1) as usize;
+        let at = (hdr.sizes_off + SIZE_ENTRY * hdr.n_nodes - 1) as usize;
         flipped[at] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
         let err = SccIndex::open_shared(&path, 4).unwrap_err();
@@ -1818,20 +1832,16 @@ mod tests {
             Header::decode(&raw).unwrap()
         };
 
-        // Flip every byte the format validates, in turn: the header, every
-        // labels-section and dag-section byte (whole pages, padding
-        // included — those carry per-page hashes because the delta engine
-        // patches them in place), and every *record* byte of the sizes
-        // section (its page padding is excluded from the record FNV because
-        // it can never influence an answer; header-page padding is never
-        // read). Open must fail each time.
+        // Flip every byte the format validates, in turn: the header and
+        // every byte of the labels, sizes and dag sections (whole pages,
+        // padding included — those carry per-page hashes because the delta
+        // engine patches them in place; header-page padding is never read).
+        // Open must fail each time.
+        assert_eq!(hdr.size_pages(), 1, "6 nodes of 8-byte entries: one padded page");
         let dag_pages_end = align_up(hdr.dag_off + DAG_ENTRY * hdr.n_dag_edges, 64) as usize;
         let meaningful = (0..HEADER_LEN)
             .chain(hdr.labels_off as usize..hdr.sizes_off as usize)
-            .chain(
-                hdr.sizes_off as usize
-                    ..(hdr.sizes_off + SIZE_ENTRY * hdr.n_sccs) as usize,
-            )
+            .chain(hdr.sizes_off as usize..hdr.dag_off as usize)
             .chain(hdr.dag_off as usize..dag_pages_end);
         let mut rejected = 0usize;
         for at in meaningful {
@@ -1907,6 +1917,77 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("rebuild"), "{err}");
+    }
+
+    #[test]
+    fn version_2_artifacts_are_rejected_with_a_clear_error() {
+        let build_env = env();
+        let labels = sample_labels(&build_env);
+        let path = idx_path(&build_env, "v2");
+        SccIndex::build(&build_env, &path, &labels, 6, None).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        for err in [
+            SccIndex::open(&env(), &path).unwrap_err(),
+            SccIndex::open_shared(&path, 4).unwrap_err(),
+        ] {
+            assert!(
+                err.to_string().contains("unsupported index version 2"),
+                "{err}"
+            );
+            assert!(err.to_string().contains("rebuild"), "{err}");
+        }
+    }
+
+    #[test]
+    fn component_size_is_two_reads_on_both_handles() {
+        let build_env = env();
+        let labels = two_page_labels(&build_env);
+        let path = idx_path(&build_env, "size2");
+        SccIndex::build(&build_env, &path, &labels, 20, None).unwrap();
+        let fresh = env();
+        let mut owned = SccIndex::open(&fresh, &path).unwrap();
+        let reader = SccIndex::open_shared(&path, 0).unwrap();
+        for u in 0u32..20 {
+            let before = fresh.stats().snapshot();
+            let s_before = reader.stats();
+            let a = owned.component_size(u).unwrap();
+            let b = reader.component_size(u).unwrap();
+            let owned_d = fresh.stats().snapshot().since(&before);
+            let shared_d = reader.stats().since(&s_before);
+            assert_eq!(a, 4, "component_size({u})");
+            assert_eq!(a, b, "component_size({u}): answers");
+            assert_eq!(owned_d.total_ios(), 2, "component_size({u}): label + size");
+            assert_eq!(owned_d, shared_d, "component_size({u}): logical I/O");
+        }
+    }
+
+    #[test]
+    fn size_table_is_indexed_by_node() {
+        let env = env();
+        let labels = sample_labels(&env);
+        let path = idx_path(&env, "dense");
+        SccIndex::build(&env, &path, &labels, 6, None).unwrap();
+        let mut idx = SccIndex::open(&env, &path).unwrap();
+        let hdr = idx.hdr;
+        let sizes: Vec<u64> = (0..6)
+            .map(|u| read_size(&mut idx.file, &hdr, u).unwrap())
+            .collect();
+        assert_eq!(sizes, vec![2, 0, 1, 3, 0, 0], "0 for non-representatives");
+        assert!(read_size(&mut idx.file, &hdr, 6).is_err(), "outside the table");
+        assert_eq!(idx.components().count() as u64, idx.n_sccs());
+    }
+
+    #[test]
+    fn build_rejects_a_representative_outside_the_node_range() {
+        let env = env();
+        let labels = env
+            .file_from_slice("far", &[SccLabel::new(0, 0), SccLabel::new(1, 7)])
+            .unwrap();
+        let err = SccIndex::build(&env, &env.root().join("far.i"), &labels, 2, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("representative 7"), "{err}");
     }
 
     #[test]
